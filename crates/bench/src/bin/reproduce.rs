@@ -915,7 +915,6 @@ fn serve_smoke(spec: &CostModelSpec) {
     let server = serve_ephemeral(TuneService::new(ServeOptions {
         cost: spec.clone(),
         cache_path: None, // smoke stays hermetic: no shared TSV
-        threads: Some(2),
         ..ServeOptions::quick()
     }))
     .expect("bind ephemeral port");
@@ -1018,8 +1017,10 @@ fn default_ms(
         .map(|c| c.report.total_ms())
         .unwrap_or_else(|| {
             oracle
-                .evaluate(&default)
+                .evaluate_bounded(&default, f64::INFINITY)
                 .expect("default config evaluates")
+                .report()
+                .expect("an infinite cutoff is never exceeded")
                 .total_ms()
         })
 }

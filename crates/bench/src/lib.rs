@@ -690,7 +690,7 @@ pub struct OraclePhases {
     pub build_ms: f64,
     /// Lowering + consistency checks + pipelining (`compile.lower`).
     pub lower_ms: f64,
-    /// Resource planning (`compile.plan`, [`ResourcePlan::derive`]-equivalent).
+    /// Resource planning (`compile.plan`, `ResourcePlan::derive_with`-equivalent).
     pub plan_ms: f64,
     /// Task-graph construction (`graph.build`).
     pub graph_ms: f64,
@@ -759,13 +759,29 @@ pub fn fig9_oracle_phases(spec: &CostModelSpec) -> OracleProfile {
     tilelink::reset_compile_cache();
     let mut measure = || {
         let start = std::time::Instant::now();
-        oracle
-            .evaluate(&tilelink::OverlapConfig::default())
-            .expect("fig9 oracle evaluation");
+        {
+            // Marks this thread's spans: the evaluation runs on the calling
+            // thread, while spans other threads record meanwhile land in the
+            // same global sink and must not be attributed to it.
+            let _root = tilelink_probe::span("fig9.oracle_eval");
+            oracle
+                .evaluate_bounded(&tilelink::OverlapConfig::default(), f64::INFINITY)
+                .expect("fig9 oracle evaluation");
+        }
         let total_ms = start.elapsed().as_secs_f64() * 1e3;
-        let ours = tilelink_probe::take_spans();
+        let spans = tilelink_probe::take_spans();
+        let thread = spans
+            .iter()
+            .rev()
+            .find(|s| s.name == "fig9.oracle_eval")
+            .map(|s| s.thread);
+        let ours: Vec<_> = spans
+            .iter()
+            .filter(|s| Some(s.thread) == thread)
+            .cloned()
+            .collect();
         let report = tilelink_probe::ProfileReport::from_spans(&ours);
-        prior.extend(ours);
+        prior.extend(spans);
         let ms = |name: &str| report.phase(name).map_or(0.0, |p| p.total_ms());
         OraclePhases {
             build_ms: ms("compile.build"),

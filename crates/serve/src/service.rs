@@ -147,7 +147,9 @@ pub struct ServeOptions {
     pub cache_entries: usize,
     /// Idle TTL of warm entries; `None` keeps them until evicted.
     pub cache_ttl: Option<Duration>,
-    /// Evaluation threads per search; `None` uses one per CPU.
+    /// Has no effect: cold searches always run on
+    /// [`ServeOptions::executor`] (or [`SearchExecutor::global`]), whose
+    /// thread count governs their parallelism.
     pub threads: Option<usize>,
     /// Shared search executor for cold misses; `None` uses
     /// [`SearchExecutor::global`], so every cold search in the process reuses
@@ -493,7 +495,6 @@ fn run_search(req: &TuneRequest, cost: &SharedCost, opts: &ServeOptions) -> Sear
         strategy: opts.strategy,
         space: opts.space.clone(),
         cache_path: opts.cache_path.clone(),
-        threads: opts.threads,
         objective: req.objective,
         ..TuneOptions::default()
     }

@@ -36,7 +36,7 @@ use crate::Result;
 /// mapping.
 ///
 /// A `CompiledKernel` can be handed to the timed executor
-/// ([`crate::exec::timed::simulate`]) to measure its overlapped execution on
+/// ([`crate::exec::simulate_with`]) to measure its overlapped execution on
 /// the cluster simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {

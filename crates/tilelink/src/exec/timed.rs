@@ -12,7 +12,7 @@
 //!   *its* channels are complete, not when the whole communication finishes.
 //!
 //! The executor also produces communication-only and computation-only variants
-//! of the graph so [`simulate`] can report the paper's overlap ratio
+//! of the graph so [`simulate_with`] can report the paper's overlap ratio
 //! (Section 7.2).
 //!
 //! Graph construction is the tuner's per-candidate hot path, so it reuses a
@@ -30,8 +30,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use tilelink_sim::{
-    analytic_cost, ClusterSpec, Engine, GpuSpec, ResourceKind, SharedCost, TaskGraph, TaskId,
-    TaskLabel, Trace, Work,
+    ClusterSpec, Engine, GpuSpec, ResourceKind, SharedCost, TaskGraph, TaskId, TaskLabel, Trace,
+    Work,
 };
 
 use crate::compile::CompiledKernel;
@@ -709,18 +709,6 @@ fn build_subset_graphs_into(
     builder.finish_slot(Subset::ComputeOnly.slot(), Subset::ComputeOnly);
 }
 
-/// Simulates a compiled kernel on `cluster` with the default analytic cost
-/// model and reports the overlapped time, the communication-only time and the
-/// computation-only time.
-///
-/// # Errors
-///
-/// Returns an error if the generated task graph is invalid (which indicates a
-/// compiler bug, e.g. a dependency cycle between blocks).
-pub fn simulate(kernel: &CompiledKernel, cluster: &ClusterSpec) -> Result<(OverlapReport, Trace)> {
-    simulate_with(kernel, &analytic_cost(cluster))
-}
-
 /// Simulates a compiled kernel priced by an explicit cost provider (the
 /// cluster is the provider's).
 ///
@@ -753,39 +741,25 @@ pub fn simulate_with(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(Over
 }
 
 /// Report-only simulation: the three makespans [`OverlapReport`] needs,
-/// without constructing any trace.
+/// without constructing any trace — [`simulate_report_bounded_with`] with an
+/// infinite cutoff.
 ///
-/// This is the fast path every workload wrapper and autotuning oracle runs
-/// on: it drives the same scheduler as [`simulate_with`] through
-/// [`Engine::makespan`] (bit-identical timing, per-thread scratch reuse) but
-/// skips all per-task entry recording *and all task labels* — the scheduler
-/// never reads names, and the empty shared label spares thousands of
-/// `format!` calls per candidate. Use [`simulate_with`] when the caller
-/// actually inspects the trace.
+/// This is the fast path every workload wrapper runs on: it drives the same
+/// scheduler as [`simulate_with`] through [`Engine::makespan_bounded`]
+/// (bit-identical timing, per-thread scratch reuse) but skips all per-task
+/// entry recording *and all task labels* — the scheduler never reads names,
+/// and the empty shared label spares thousands of `format!` calls per
+/// candidate. Use [`simulate_with`] when the caller actually inspects the
+/// trace.
 ///
 /// # Errors
 ///
 /// Returns an error if the generated task graph is invalid (which indicates a
 /// compiler bug, e.g. a dependency cycle between blocks).
 pub fn simulate_report_with(kernel: &CompiledKernel, cost: &SharedCost) -> Result<OverlapReport> {
-    let cluster = cost.cluster().clone();
-    let engine = Engine::with_cost(cost.clone());
-    with_graph_scratch(|scratch| {
-        build_subset_graphs_into(scratch, kernel, &cluster);
-        let full = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::All.slot()].graph)?
-        };
-        let comm = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::CommOnly.slot()].graph)?
-        };
-        let comp = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::ComputeOnly.slot()].graph)?
-        };
-        Ok(OverlapReport::new(full, comm, comp))
-    })
+    Ok(simulate_report_bounded_with(kernel, cost, f64::INFINITY)?
+        .report()
+        .expect("an infinite cutoff is never exceeded"))
 }
 
 /// Outcome of a cutoff-bounded report simulation: the full report, or proof
@@ -799,6 +773,17 @@ pub enum BoundedReport {
     /// carries the certified lower bound on the true makespan. The comm-only
     /// and compute-only simulations are skipped entirely.
     Exceeded(f64),
+}
+
+impl BoundedReport {
+    /// The exact report, or `None` when the simulation aborted past its
+    /// cutoff.
+    pub fn report(self) -> Option<OverlapReport> {
+        match self {
+            Self::Report(report) => Some(report),
+            Self::Exceeded(_) => None,
+        }
+    }
 }
 
 /// [`simulate_report_with`] with an abort cutoff on the overlapped makespan —
@@ -865,7 +850,7 @@ mod tests {
     use crate::ir::{BlockDesc, ComputeKind, TileProgram};
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
-    use tilelink_sim::GpuSpec;
+    use tilelink_sim::{analytic_cost, GpuSpec};
 
     /// A pull-mode AllGather + GEMM over `tiles` tiles of `rows x cols` values.
     fn ag_gemm_program(world: usize, tiles: usize, tile_bytes: f64, gemm_k: usize) -> TileProgram {
@@ -923,7 +908,7 @@ mod tests {
         let program = ag_gemm_program(8, 8, 4.0e6, 4096);
         let kernel = compile(&program, OverlapConfig::default());
         let cluster = ClusterSpec::h800_node(8);
-        let (report, trace) = simulate(&kernel, &cluster).unwrap();
+        let (report, trace) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
         assert!(report.total_s > 0.0);
         assert!(trace.makespan() > 0.0);
         // Overlap: the fused kernel is faster than comm + compute run back to back,
@@ -966,18 +951,8 @@ mod tests {
         let makespan = tilelink_sim::Engine::new(cluster.clone())
             .makespan(&graph)
             .unwrap();
-        let (report, _) = simulate(&kernel, &cluster).unwrap();
+        let (report, _) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
         assert_eq!(makespan.to_bits(), report.total_s.to_bits());
-    }
-
-    #[test]
-    fn simulate_with_analytic_provider_matches_simulate() {
-        let program = ag_gemm_program(4, 4, 4.0e6, 1024);
-        let kernel = compile(&program, OverlapConfig::default());
-        let cluster = ClusterSpec::h800_node(4);
-        let (a, _) = simulate(&kernel, &cluster).unwrap();
-        let (b, _) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
-        assert_eq!(a, b, "the trait boundary must not change analytic results");
     }
 
     #[test]
@@ -988,7 +963,7 @@ mod tests {
         let calibrated: tilelink_sim::SharedCost = std::sync::Arc::new(
             tilelink_sim::CalibratedCostModel::h800_defaults(cluster.clone()),
         );
-        let (analytic, _) = simulate(&kernel, &cluster).unwrap();
+        let (analytic, _) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
         let (measured, _) = simulate_with(&kernel, &calibrated).unwrap();
         // The H800 table never credits a transfer with more than 95% of peak,
         // so the comm-only phase must be strictly slower than pure-bandwidth.
@@ -1002,7 +977,7 @@ mod tests {
         let program = ag_gemm_program(4, 4, 8.0e6, 1024);
         let kernel = compile(&program, OverlapConfig::default());
         let cluster = ClusterSpec::h800_node(4);
-        let (_, trace) = simulate(&kernel, &cluster).unwrap();
+        let (_, trace) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
         let link_tasks = trace
             .entries()
             .iter()
@@ -1017,7 +992,7 @@ mod tests {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine);
         let kernel = compile(&program, cfg);
         let cluster = ClusterSpec::h800_node(4);
-        let (_, trace) = simulate(&kernel, &cluster).unwrap();
+        let (_, trace) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
         assert!(trace
             .entries()
             .iter()
@@ -1061,7 +1036,7 @@ mod tests {
             .compile(&p, &mapping)
             .unwrap();
         let cluster = ClusterSpec::h800_node(1);
-        let (_, trace) = simulate(&kernel, &cluster).unwrap();
+        let (_, trace) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
         let producer_end = trace
             .entries()
             .iter()
@@ -1089,8 +1064,8 @@ mod tests {
             OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 64 }),
         );
         let cluster = ClusterSpec::h800_node(8);
-        let (r_few, _) = simulate(&few, &cluster).unwrap();
-        let (r_many, _) = simulate(&many, &cluster).unwrap();
+        let (r_few, _) = simulate_with(&few, &analytic_cost(&cluster)).unwrap();
+        let (r_many, _) = simulate_with(&many, &analytic_cost(&cluster)).unwrap();
         // The comm-SM knob trades compute throughput against communication
         // throughput; both settings must stay in the same regime rather than
         // collapse or explode.
@@ -1120,7 +1095,8 @@ mod tests {
         let kernel = Compiler::new(OverlapConfig::default(), GpuSpec::h800())
             .compile(&p, &mapping)
             .unwrap();
-        let (_, trace) = simulate(&kernel, &ClusterSpec::h800_node(4)).unwrap();
+        let (_, trace) =
+            simulate_with(&kernel, &analytic_cost(&ClusterSpec::h800_node(4))).unwrap();
         let pushes = trace
             .entries()
             .iter()

@@ -73,17 +73,6 @@ impl PlanInputs {
 }
 
 impl ResourcePlan {
-    /// Derives the plan from the kernel configuration, the device and the
-    /// program, using the analytic cost model's efficiency heuristics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TileLinkError::InvalidConfig`] if the configuration is invalid
-    /// for the device (for example reserving every SM for communication).
-    pub fn derive(config: &OverlapConfig, gpu: &GpuSpec, program: &TileProgram) -> Result<Self> {
-        Self::derive_with(config, gpu, program, None)
-    }
-
     /// Derives the plan with the GEMM-efficiency heuristic of an explicit cost
     /// provider (`None` falls back to the analytic model).
     ///
@@ -184,7 +173,8 @@ mod tests {
     fn sm_mapping_reserves_comm_sms() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 20 });
         let plan =
-            ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(20, 112)).unwrap();
+            ResourcePlan::derive_with(&cfg, &GpuSpec::h800(), &program_with_blocks(20, 112), None)
+                .unwrap();
         assert_eq!(plan.comm_sms, 20);
         assert_eq!(plan.compute_sms, 112);
         assert!(matches!(plan.lane, TransferLane::SmPort { port_share } if port_share == 5));
@@ -195,7 +185,8 @@ mod tests {
     fn copy_engine_mapping_keeps_all_sms_for_compute() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine);
         let plan =
-            ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(1, 100)).unwrap();
+            ResourcePlan::derive_with(&cfg, &GpuSpec::h800(), &program_with_blocks(1, 100), None)
+                .unwrap();
         assert_eq!(plan.comm_sms, 0);
         assert_eq!(plan.compute_sms, 132);
         assert_eq!(plan.lane, TransferLane::CopyEngine);
@@ -206,7 +197,8 @@ mod tests {
     fn hybrid_mapping_reserves_sms_and_uses_copy_engine() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Hybrid { sms: 16 });
         let plan =
-            ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(16, 100)).unwrap();
+            ResourcePlan::derive_with(&cfg, &GpuSpec::h800(), &program_with_blocks(16, 100), None)
+                .unwrap();
         assert_eq!(plan.comm_sms, 16);
         assert_eq!(plan.lane, TransferLane::CopyEngine);
         assert!(plan.host_launch_per_copy);
@@ -217,10 +209,10 @@ mod tests {
         let small = OverlapConfig::default().with_compute_tile(TileShape::new(32, 32));
         let large = OverlapConfig::default().with_compute_tile(TileShape::new(128, 256));
         let p = program_with_blocks(1, 1);
-        let e_small = ResourcePlan::derive(&small, &GpuSpec::h800(), &p)
+        let e_small = ResourcePlan::derive_with(&small, &GpuSpec::h800(), &p, None)
             .unwrap()
             .compute_efficiency;
-        let e_large = ResourcePlan::derive(&large, &GpuSpec::h800(), &p)
+        let e_large = ResourcePlan::derive_with(&large, &GpuSpec::h800(), &p, None)
             .unwrap()
             .compute_efficiency;
         assert!(e_large > e_small);
@@ -232,7 +224,7 @@ mod tests {
         let cost = tilelink_sim::analytic_cost(&cluster);
         let cfg = OverlapConfig::default();
         let p = program_with_blocks(2, 4);
-        let a = ResourcePlan::derive(&cfg, &GpuSpec::h800(), &p).unwrap();
+        let a = ResourcePlan::derive_with(&cfg, &GpuSpec::h800(), &p, None).unwrap();
         let b = ResourcePlan::derive_with(&cfg, &GpuSpec::h800(), &p, Some(&*cost)).unwrap();
         assert_eq!(a, b);
     }
@@ -240,6 +232,12 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 200 });
-        assert!(ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(1, 1)).is_err());
+        assert!(ResourcePlan::derive_with(
+            &cfg,
+            &GpuSpec::h800(),
+            &program_with_blocks(1, 1),
+            None
+        )
+        .is_err());
     }
 }

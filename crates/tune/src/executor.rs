@@ -1,27 +1,23 @@
-//! A reusable, process-owned candidate-evaluation pool.
+//! The tuner's candidate-evaluation worker pool.
 //!
-//! [`Tuner::tune`](crate::Tuner::tune) historically spawned a fresh scoped
-//! worker pool per call. That is fine for one-shot CLI tuning, but a serving
-//! daemon runs many searches over its lifetime — often several at once for
-//! *different* cache keys — and per-call pools both pay a thread-spawn tax on
-//! every request and oversubscribe the machine under concurrent cold misses
-//! (N searches × min(cores, 16) threads each).
-//!
-//! [`SearchExecutor`] is the long-lived replacement: one warm worker pool
-//! owned by the process, shared by every search wired to it (the
-//! `tilelink-serve` daemon, `reproduce --tune`, the load generator). Searches
-//! are admitted through a bounded session queue
-//! ([`SearchExecutor::session`]), and their evaluation batches interleave
-//! job-by-job on the same workers, so concurrent cold searches share one
-//! pool's worth of threads instead of stacking pools.
+//! Every [`Tuner`](crate::Tuner) evaluates its cache misses on a
+//! [`SearchExecutor`]: by default one of its own, whose workers are spawned
+//! on the first search and live as long as the tuner. A serving daemon runs
+//! many searches over its lifetime — often several at once for *different*
+//! cache keys — so it instead shares one executor across the process
+//! ([`SearchExecutor::global`]; the `tilelink-serve` daemon,
+//! `reproduce --tune`, the load generator). Searches are admitted through a
+//! bounded session queue ([`SearchExecutor::session`]), and their evaluation
+//! batches interleave job-by-job on the same workers, so concurrent cold
+//! searches share one pool's worth of threads instead of stacking pools.
 //!
 //! # Determinism
 //!
 //! The executor changes *where* candidates are evaluated, never *what* the
-//! search observes: results land in a slot per candidate exactly like the
-//! scoped pool, and the tuner merges them in candidate order. A search run
-//! through a shared executor is bit-identical to the same search run on a
-//! private pool (see the `executor_parity` integration test).
+//! search observes: results land in a slot per candidate, and the tuner
+//! merges them in candidate order. A search run through a shared executor is
+//! bit-identical to the same search run on a private one of any size (see the
+//! `executor_parity` integration test).
 //!
 //! # Safety
 //!
@@ -34,16 +30,16 @@
 //! after `run_batch` returns and the borrow ends.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use tilelink::{OverlapConfig, TileLinkError};
+use tilelink::exec::BoundedReport;
+use tilelink::OverlapConfig;
 use tilelink_probe::metrics::{TUNE_EXECUTOR_QUEUE_DEPTH, TUNE_EXECUTOR_REUSES};
 
 use crate::search::timed_eval;
-use crate::{BoundedEval, CostOracle};
+use crate::CostOracle;
 
 /// Default cap on concurrently admitted search sessions.
 const DEFAULT_MAX_SESSIONS: usize = 4;
@@ -92,7 +88,7 @@ struct Batch {
 }
 
 struct BatchState {
-    results: Vec<Option<tilelink::Result<BoundedEval>>>,
+    results: Vec<Option<tilelink::Result<BoundedReport>>>,
     outstanding: usize,
 }
 
@@ -239,7 +235,7 @@ impl SearchExecutor {
         oracle: &dyn CostOracle,
         misses: &[&OverlapConfig],
         cutoff: Arc<AtomicU64>,
-    ) -> Vec<Option<tilelink::Result<BoundedEval>>> {
+    ) -> Vec<Option<tilelink::Result<BoundedReport>>> {
         if misses.is_empty() {
             return Vec::new();
         }
@@ -332,16 +328,10 @@ fn worker(inner: &Inner) {
         // SAFETY: see `OraclePtr` — the submitting `run_batch` is still
         // blocked on this batch, so the oracle it borrowed is live.
         let oracle: &dyn CostOracle = unsafe { &*job.oracle.0 };
-        // A panicking oracle must not kill a shared worker (the pool would
-        // silently shrink for every later search) nor wedge the batch
-        // barrier: surface it as a failed candidate instead.
+        // `timed_eval` turns a panicking oracle into a failed candidate, so
+        // the worker survives and the batch barrier still drains.
         let cutoff = f64::from_bits(job.batch.cutoff.load(Ordering::Relaxed));
-        let result = catch_unwind(AssertUnwindSafe(|| timed_eval(oracle, &job.cfg, cutoff)))
-            .unwrap_or_else(|_| {
-                Err(TileLinkError::InvalidConfig {
-                    reason: "oracle panicked during evaluation".to_string(),
-                })
-            });
+        let result = timed_eval(oracle, &job.cfg, cutoff);
         let mut bs = job.batch.state.lock().expect("executor batch poisoned");
         bs.results[job.idx] = Some(result);
         bs.outstanding -= 1;
@@ -356,7 +346,7 @@ mod tests {
     use super::*;
     use crate::FnOracle;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use tilelink::OverlapReport;
+    use tilelink::{OverlapReport, TileLinkError};
     use tilelink_sim::ClusterSpec;
 
     fn no_cutoff() -> Arc<AtomicU64> {
@@ -389,7 +379,7 @@ mod tests {
         assert_eq!(results.len(), 3);
         for (i, r) in results.iter().enumerate() {
             let eval = r.as_ref().expect("slot filled").as_ref().expect("ok");
-            let BoundedEval::Report(report) = eval else {
+            let BoundedReport::Report(report) = eval else {
                 panic!("infinite cutoff must never abort");
             };
             assert_eq!(report.total_s, configs[i].num_stages as f64);

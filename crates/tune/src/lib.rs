@@ -28,11 +28,13 @@
 //!   serving wrong timings.
 //!
 //! Candidate evaluation is embarrassingly parallel (the simulator is pure),
-//! so the tuner fans evaluations out over `std::thread`.
+//! so the tuner fans evaluations out over the worker threads of a
+//! [`SearchExecutor`] — its own, or one shared by every search in the process.
 //!
 //! # Example
 //!
 //! ```
+//! use tilelink::exec::BoundedReport;
 //! use tilelink::{OverlapConfig, OverlapReport};
 //! use tilelink_sim::ClusterSpec;
 //! use tilelink_tune::{CostOracle, SearchSpace, Strategy, Tuner};
@@ -46,17 +48,29 @@
 //!     fn cluster(&self) -> &ClusterSpec {
 //!         &self.0
 //!     }
-//!     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+//!     fn evaluate_bounded(
+//!         &self,
+//!         cfg: &OverlapConfig,
+//!         cutoff: f64,
+//!     ) -> tilelink::Result<BoundedReport> {
 //!         let t = 1.0 / cfg.compute_tile.numel() as f64
 //!             + cfg.comm_mapping.comm_sms() as f64 * 1e-6;
-//!         Ok(OverlapReport::new(t, t / 2.0, t / 2.0))
+//!         if t > cutoff {
+//!             return Ok(BoundedReport::Exceeded(t));
+//!         }
+//!         Ok(BoundedReport::Report(OverlapReport::new(t, t / 2.0, t / 2.0)))
 //!     }
 //! }
 //!
 //! let oracle = Toy(ClusterSpec::h800_node(8));
 //! let space = SearchSpace::standard();
 //! let report = Tuner::new(Strategy::Exhaustive).tune(&oracle, &space).unwrap();
-//! assert!(report.best.report.total_s <= oracle.evaluate(&OverlapConfig::default()).unwrap().total_s);
+//! let default = oracle
+//!     .evaluate_bounded(&OverlapConfig::default(), f64::INFINITY)
+//!     .unwrap()
+//!     .report()
+//!     .unwrap();
+//! assert!(report.best.report.total_s <= default.total_s);
 //! ```
 
 #![deny(missing_docs)]
@@ -73,7 +87,7 @@ pub use cache::TuneCache;
 pub use error::TuneError;
 pub use executor::{ExecutorSession, SearchExecutor};
 pub use objective::Objective;
-pub use oracle::{cluster_key, BoundedEval, CostOracle, FnOracle};
+pub use oracle::{cluster_key, CostOracle, FnOracle};
 pub use search::{Candidate, FailedBreakdown, RoundProgress, Strategy, TuneReport, Tuner};
 pub use space::{AxisConstraint, PruneCounts, SearchSpace, RING_REQUIRES_PUSH};
 

@@ -1,24 +1,10 @@
 //! The cost oracle: anything that can price one candidate configuration.
 
+use tilelink::exec::BoundedReport;
 use tilelink::{OverlapConfig, OverlapReport};
 use tilelink_sim::ClusterSpec;
 
 use crate::Objective;
-
-/// Outcome of a cutoff-bounded oracle evaluation.
-///
-/// Returned by [`CostOracle::evaluate_bounded`]: either the full report
-/// (bit-identical to [`CostOracle::evaluate`]) or proof that the candidate's
-/// objective value strictly exceeds the caller's cutoff, with the certified
-/// partial clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BoundedEval {
-    /// The cutoff was never hit; the report is exact.
-    Report(OverlapReport),
-    /// The evaluation aborted early: the objective value provably exceeds
-    /// the cutoff. Carries a lower bound on the true value.
-    Exceeded(f64),
-}
 
 /// Prices one [`OverlapConfig`] for one workload on one cluster.
 ///
@@ -28,8 +14,8 @@ pub enum BoundedEval {
 /// ([`OverlapReport::total_s`]) is the objective the tuner minimises.
 ///
 /// Implementations must be deterministic and thread-safe (`Sync`): the tuner
-/// calls [`CostOracle::evaluate`] concurrently from multiple threads, and the
-/// persistent cache assumes a config always prices to the same cost.
+/// calls [`CostOracle::evaluate_bounded`] concurrently from multiple threads,
+/// and the persistent cache assumes a config always prices to the same cost.
 pub trait CostOracle: Sync {
     /// Stable identifier of the workload kind and shape, used in cache keys.
     ///
@@ -50,8 +36,9 @@ pub trait CostOracle: Sync {
         tilelink_sim::CostModel::REVISION.to_string()
     }
 
-    /// The statistic this oracle's [`CostOracle::evaluate`] reports when the
-    /// workload is priced over sampled executions (see [`Objective`]).
+    /// The statistic this oracle's [`CostOracle::evaluate_bounded`] reports
+    /// when the workload is priced over sampled executions (see
+    /// [`Objective`]).
     ///
     /// Deterministic single-execution oracles keep the default
     /// ([`Objective::Mean`]). The objective's [`Objective::key`] is folded
@@ -61,23 +48,15 @@ pub trait CostOracle: Sync {
         Objective::Mean
     }
 
-    /// Compiles and simulates one candidate, returning its timing report.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the candidate fails to compile or simulate; the
-    /// tuner treats such candidates as pruned.
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport>;
-
     /// A cheap *admissible* lower bound on the objective value
-    /// [`CostOracle::evaluate`] would report for `cfg`, or `None` when no
-    /// sound bound is available.
+    /// [`CostOracle::evaluate_bounded`] would report for `cfg`, or `None` when
+    /// no sound bound is available.
     ///
-    /// Admissible means `lower_bound(cfg) <= evaluate(cfg).total_s` (or the
-    /// folded objective value for sampled oracles) for every supported
-    /// config: the tuner skips candidates whose bound already meets or
-    /// exceeds the incumbent best, so an inadmissible bound would change
-    /// winners. Implementations must not compile, build graphs or run event
+    /// Admissible means `lower_bound(cfg) <= total_s` of the infinite-cutoff
+    /// report (or the folded objective value for sampled oracles) for every
+    /// supported config: the tuner skips candidates whose bound already
+    /// meets or exceeds the incumbent best, so an inadmissible bound would
+    /// change winners. Implementations must not compile, build graphs or run event
     /// simulation — the point is to price the candidate in nanoseconds from
     /// closed-form work/byte totals (critical-path compute, per-rank GEMM
     /// work over SM throughput, per-link bytes over bandwidth).
@@ -88,22 +67,23 @@ pub trait CostOracle: Sync {
         None
     }
 
-    /// [`CostOracle::evaluate`] with an abort cutoff: implementations may
-    /// stop early and return [`BoundedEval::Exceeded`] as soon as the
-    /// objective value provably exceeds `cutoff` strictly.
+    /// Compiles and simulates one candidate with an abort cutoff on its
+    /// objective value.
     ///
-    /// The contract mirrors [`tilelink_sim::Engine::makespan_bounded`]: when
-    /// the cutoff is not hit, the returned report must be bit-identical to
-    /// [`CostOracle::evaluate`]. The default ignores the cutoff and never
-    /// aborts, which is always sound.
+    /// Implementations may stop early and return [`BoundedReport::Exceeded`]
+    /// as soon as the objective value provably exceeds `cutoff` strictly,
+    /// carrying a certified lower bound on the true value. The contract
+    /// mirrors [`tilelink_sim::Engine::makespan_bounded`]: when the cutoff is
+    /// not hit, the returned report must be bit-identical to the one an
+    /// infinite cutoff yields. Pass `f64::INFINITY` for an exact evaluation;
+    /// ignoring the cutoff is always sound.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`CostOracle::evaluate`].
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let _ = cutoff;
-        self.evaluate(cfg).map(BoundedEval::Report)
-    }
+    /// Returns an error if the candidate fails to compile or simulate; the
+    /// tuner counts such candidates as failed.
+    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64)
+        -> tilelink::Result<BoundedReport>;
 
     /// Workload-specific validity constraints beyond
     /// [`OverlapConfig::validate`] (for example tile-divisibility rules).
@@ -231,8 +211,13 @@ where
         &self.cluster
     }
 
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        (self.evaluate)(cfg)
+    /// Ignores the cutoff: the closure prices every candidate exactly.
+    fn evaluate_bounded(
+        &self,
+        cfg: &OverlapConfig,
+        _cutoff: f64,
+    ) -> tilelink::Result<BoundedReport> {
+        (self.evaluate)(cfg).map(BoundedReport::Report)
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -288,8 +273,10 @@ mod tests {
         }));
         assert!(!oracle.is_supported(&OverlapConfig::default()));
         assert_eq!(
-            oracle.evaluate(&OverlapConfig::default()).unwrap().total_s,
-            1.0
+            oracle
+                .evaluate_bounded(&OverlapConfig::default(), f64::INFINITY)
+                .unwrap(),
+            BoundedReport::Report(OverlapReport::new(1.0, 0.5, 0.5))
         );
     }
 }

@@ -2,10 +2,12 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use tilelink::exec::BoundedReport;
 use tilelink::{OverlapConfig, OverlapReport, TileLinkError};
 use tilelink_probe::metrics::{
     TUNE_CACHE_HITS, TUNE_CACHE_MISSES, TUNE_CACHE_REVISION_INVALIDATIONS, TUNE_CANDIDATES_CACHED,
@@ -15,7 +17,7 @@ use tilelink_probe::metrics::{
 };
 
 use crate::executor::SearchExecutor;
-use crate::oracle::{cluster_key, BoundedEval};
+use crate::oracle::cluster_key;
 use crate::space::{PruneCounts, SearchSpace};
 use crate::{CostOracle, Result, TuneCache, TuneError};
 
@@ -145,7 +147,7 @@ pub struct TuneReport {
     /// Candidates lost per pruning stage (never ranked).
     pub failed: FailedBreakdown,
     /// How many of [`FailedBreakdown::bound_pruned`] were abort-shortened
-    /// simulations ([`crate::BoundedEval::Exceeded`]) rather than skipped
+    /// simulations ([`BoundedReport::Exceeded`]) rather than skipped
     /// outright on their lower bound; see [`TuneReport::pruned_bound`] for
     /// the complementary count.
     pub bounded_aborts: usize,
@@ -214,17 +216,16 @@ impl TuneReport {
 
 /// Drives a [`Strategy`] over a [`SearchSpace`] against a [`CostOracle`].
 ///
-/// Candidate evaluations run concurrently on `threads` OS threads (the
-/// simulator is pure, so replicas are independent); results are merged in
-/// candidate order, so the search is deterministic regardless of thread
-/// scheduling.
+/// Candidate evaluations run concurrently on the worker threads of a
+/// [`SearchExecutor`] (the simulator is pure, so replicas are independent);
+/// results are merged in candidate order, so the search is deterministic
+/// regardless of thread scheduling.
 #[derive(Debug)]
 pub struct Tuner {
     strategy: Strategy,
-    threads: usize,
     verbose: bool,
     cache: Mutex<TuneCache>,
-    executor: Option<Arc<SearchExecutor>>,
+    executor: Arc<SearchExecutor>,
     sweep_stale: bool,
     pruning: bool,
 }
@@ -255,7 +256,7 @@ struct BatchStats {
 /// Combined with the fixed [`PRUNE_CHUNK`] cadence this keeps every prune and
 /// abort decision deterministic regardless of thread count.
 struct Incumbent {
-    /// Cutoff as `f64` bits, read by pool / executor workers.
+    /// Cutoff as `f64` bits, read by executor workers.
     bits: Arc<AtomicU64>,
     /// Ascending best objective values, at most `width` of them.
     tops: Vec<f64>,
@@ -297,155 +298,37 @@ impl Incumbent {
     }
 }
 
-/// Shared state of the per-tune evaluation pool.
-///
-/// Workers are spawned once per [`Tuner::tune`] call and stay alive across
-/// every beam batch: per-thread compile/graph/simulate scratch stays warm, and
-/// small frontier batches stop paying an OS-thread spawn per batch (the
-/// pre-pool behaviour, which dominated quick-search wall time).
-struct EvalPool {
-    state: Mutex<PoolState>,
-    /// Workers park here between batches.
-    work: Condvar,
-    /// The batch submitter parks here until `outstanding` drains.
-    done: Condvar,
-    /// Incumbent cutoff as `f64` bits, loaded per job. The merge thread only
-    /// updates it between batches, so every job of one batch sees one value.
-    cutoff: Arc<AtomicU64>,
-}
-
-#[derive(Default)]
-struct PoolState {
-    /// Pending (result slot, config) jobs of the current batch.
-    jobs: Vec<(usize, OverlapConfig)>,
-    results: Vec<Option<tilelink::Result<BoundedEval>>>,
-    outstanding: usize,
-    shutdown: bool,
-}
-
-impl EvalPool {
-    fn new(cutoff: Arc<AtomicU64>) -> Self {
-        Self {
-            state: Mutex::new(PoolState::default()),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            cutoff,
-        }
-    }
-
-    /// Evaluates `misses` on the pool's workers (each worker holds the oracle
-    /// from its spawn closure); blocks until every slot is filled and returns
-    /// the results in candidate order.
-    fn run(&self, misses: &[&OverlapConfig]) -> Vec<Option<tilelink::Result<BoundedEval>>> {
-        {
-            let mut st = self.state.lock().expect("eval pool poisoned");
-            st.results.clear();
-            st.results.resize_with(misses.len(), || None);
-            // Reversed so `pop` hands jobs out in candidate order.
-            st.jobs.clear();
-            st.jobs
-                .extend(misses.iter().enumerate().map(|(i, &cfg)| (i, *cfg)).rev());
-            st.outstanding = misses.len();
-        }
-        self.work.notify_all();
-        let mut st = self.state.lock().expect("eval pool poisoned");
-        while st.outstanding > 0 {
-            st = self.done.wait(st).expect("eval pool poisoned");
-        }
-        std::mem::take(&mut st.results)
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().expect("eval pool poisoned").shutdown = true;
-        self.work.notify_all();
-    }
-
-    fn worker(&self, oracle: &dyn CostOracle) {
-        loop {
-            let (idx, cfg) = {
-                let mut st = self.state.lock().expect("eval pool poisoned");
-                loop {
-                    if let Some(job) = st.jobs.pop() {
-                        break job;
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    st = self.work.wait(st).expect("eval pool poisoned");
-                }
-            };
-            let cutoff = f64::from_bits(self.cutoff.load(Ordering::Relaxed));
-            let r = timed_eval(oracle, &cfg, cutoff);
-            let mut st = self.state.lock().expect("eval pool poisoned");
-            st.results[idx] = Some(r);
-            st.outstanding -= 1;
-            if st.outstanding == 0 {
-                self.done.notify_all();
-            }
-        }
-    }
-}
-
-/// How a batch of cache misses reaches the oracle: the per-run scoped pool,
-/// or a shared [`SearchExecutor`] whose workers outlive this run. Either way
-/// results land in a slot per candidate and are merged in candidate order, so
-/// the choice is unobservable in the ranking.
-enum Eval<'a> {
-    /// Scoped per-run pool; the `usize` is the run's thread count.
-    Pool(&'a EvalPool, usize),
-    /// Process-shared warm pool; carries the run's incumbent-cutoff bits for
-    /// the executor's workers to read per job.
-    Shared(&'a SearchExecutor, Arc<AtomicU64>),
-}
-
-impl Eval<'_> {
-    fn parallelism(&self) -> usize {
-        match self {
-            Eval::Pool(_, threads) => *threads,
-            Eval::Shared(exec, _) => exec.threads(),
-        }
-    }
-
-    fn run(
-        &self,
-        oracle: &dyn CostOracle,
-        misses: &[&OverlapConfig],
-    ) -> Vec<Option<tilelink::Result<BoundedEval>>> {
-        match self {
-            Eval::Pool(pool, _) => pool.run(misses),
-            Eval::Shared(exec, cutoff) => exec.run_batch(oracle, misses, Arc::clone(cutoff)),
-        }
-    }
-}
-
 /// One timed, profiled oracle call with the incumbent cutoff. The span lands
-/// on whichever worker thread ran it (the profiler keeps per-thread stacks).
+/// on whichever thread ran it (the profiler keeps per-thread stacks).
+///
+/// A panicking oracle must neither kill a shared executor worker (the pool
+/// would silently shrink for every later search) nor wedge the batch barrier,
+/// so the panic surfaces as a failed candidate instead.
 pub(crate) fn timed_eval(
     oracle: &dyn CostOracle,
     cfg: &OverlapConfig,
     cutoff: f64,
-) -> tilelink::Result<BoundedEval> {
+) -> tilelink::Result<BoundedReport> {
     let _span = tilelink_probe::span("tune.candidate");
     let t0 = Instant::now();
-    let r = oracle.evaluate_bounded(cfg, cutoff);
+    let r = catch_unwind(AssertUnwindSafe(|| oracle.evaluate_bounded(cfg, cutoff)));
     TUNE_EVAL_US.record(t0.elapsed().as_micros() as u64);
-    r
+    r.unwrap_or_else(|_| {
+        Err(TileLinkError::InvalidConfig {
+            reason: "oracle panicked during evaluation".to_string(),
+        })
+    })
 }
 
 impl Tuner {
-    /// Creates a tuner with an in-memory cache and one thread per available
-    /// CPU (capped at 16).
+    /// Creates a tuner with an in-memory cache and its own executor of one
+    /// thread per available CPU (capped at 16; see [`SearchExecutor::new`]).
     pub fn new(strategy: Strategy) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(16);
         Self {
             strategy,
-            threads,
             verbose: false,
             cache: Mutex::new(TuneCache::in_memory()),
-            executor: None,
+            executor: Arc::new(SearchExecutor::new()),
             sweep_stale: false,
             pruning: true,
         }
@@ -461,18 +344,19 @@ impl Tuner {
         self
     }
 
-    /// Replaces the evaluation thread count (minimum 1).
+    /// Replaces the executor with a private one of `threads` workers
+    /// (minimum 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.executor = Arc::new(SearchExecutor::with_threads(threads));
         self
     }
 
-    /// Evaluates candidates on a shared [`SearchExecutor`] instead of
-    /// spawning a private scoped pool for this run. The executor's thread
-    /// count governs parallelism; results are bit-identical either way (slot
-    /// per candidate, merged in candidate order).
+    /// Evaluates candidates on `executor` — typically one shared by every
+    /// search of the process — instead of the tuner's own. The executor's
+    /// thread count governs parallelism; results are bit-identical either way
+    /// (slot per candidate, merged in candidate order).
     pub fn with_executor(mut self, executor: Arc<SearchExecutor>) -> Self {
-        self.executor = Some(executor);
+        self.executor = executor;
         self
     }
 
@@ -574,203 +458,173 @@ impl Tuner {
             Strategy::Beam { width, .. } => width.max(1),
         };
         let mut incumbent = Incumbent::new(prune_width, self.pruning);
-        let cutoff_bits = Arc::clone(&incumbent.bits);
-
-        let mut run_strategy = |eval: &Eval| -> std::result::Result<(), TuneError> {
-            {
-                match self.strategy {
-                    Strategy::Exhaustive => {
-                        let (candidates, counts) = space.candidates_counted(oracle);
-                        pruned = counts;
-                        if candidates.is_empty() {
-                            return Err(TuneError::EmptySpace {
-                                unpruned: space.len_unpruned(),
-                            });
-                        }
-                        self.evaluate_batch(
-                            oracle,
-                            eval,
-                            &prefix,
-                            &candidates,
-                            &mut stats,
-                            &mut evaluated,
-                            &mut seen,
-                            &mut incumbent,
-                            &mut dominated,
-                        );
+        // Admission is bounded, so concurrent runs on a shared executor
+        // interleave their batches instead of stacking pools.
+        let session = self.executor.session();
+        match self.strategy {
+            Strategy::Exhaustive => {
+                let (candidates, counts) = space.candidates_counted(oracle);
+                pruned = counts;
+                if candidates.is_empty() {
+                    return Err(TuneError::EmptySpace {
+                        unpruned: space.len_unpruned(),
+                    });
+                }
+                self.evaluate_batch(
+                    oracle,
+                    &prefix,
+                    &candidates,
+                    &mut stats,
+                    &mut evaluated,
+                    &mut seen,
+                    &mut incumbent,
+                    &mut dominated,
+                );
+            }
+            Strategy::Beam { width, sweeps } => {
+                let width = width.max(1);
+                let sm_count = oracle.cluster().gpu.sm_count;
+                // Per-stage rejection tallies for every config the sweep
+                // considers (Cells because `valid` is shared immutably).
+                let validate_rejected = Cell::new(0usize);
+                let constraint_pruned = Cell::new(0usize);
+                let valid = |cfg: &OverlapConfig| {
+                    if cfg.validate(sm_count).is_err() {
+                        validate_rejected.set(validate_rejected.get() + 1);
+                        return false;
                     }
-                    Strategy::Beam { width, sweeps } => {
-                        let width = width.max(1);
-                        let sm_count = oracle.cluster().gpu.sm_count;
-                        // Per-stage rejection tallies for every config the sweep
-                        // considers (Cells because `valid` is shared immutably).
-                        let validate_rejected = Cell::new(0usize);
-                        let constraint_pruned = Cell::new(0usize);
-                        let valid = |cfg: &OverlapConfig| {
-                            if cfg.validate(sm_count).is_err() {
-                                validate_rejected.set(validate_rejected.get() + 1);
-                                return false;
-                            }
-                            if !space.allows(cfg) || !oracle.is_supported(cfg) {
-                                constraint_pruned.set(constraint_pruned.get() + 1);
-                                return false;
-                            }
-                            true
-                        };
-                        // Seeds: the library default and the space's own first-corner
-                        // config. Keeping them in the pool guarantees the final result
-                        // is never worse than either seed.
-                        let mut seeds: Vec<OverlapConfig> = Vec::new();
-                        for seed in [OverlapConfig::default(), space.seed()] {
-                            if valid(&seed) && !seeds.contains(&seed) {
-                                seeds.push(seed);
-                            }
-                        }
-                        if seeds.is_empty() {
-                            // Neither seed is valid for this workload: fall back to the
-                            // pruned enumeration for a starting pool.
-                            seeds = space.candidates(oracle);
-                            seeds.truncate(width);
-                        }
-                        if seeds.is_empty() {
-                            return Err(TuneError::EmptySpace {
-                                unpruned: space.len_unpruned(),
-                            });
-                        }
+                    if !space.allows(cfg) || !oracle.is_supported(cfg) {
+                        constraint_pruned.set(constraint_pruned.get() + 1);
+                        return false;
+                    }
+                    true
+                };
+                // Seeds: the library default and the space's own first-corner
+                // config. Keeping them in the pool guarantees the final result
+                // is never worse than either seed.
+                let mut seeds: Vec<OverlapConfig> = Vec::new();
+                for seed in [OverlapConfig::default(), space.seed()] {
+                    if valid(&seed) && !seeds.contains(&seed) {
+                        seeds.push(seed);
+                    }
+                }
+                if seeds.is_empty() {
+                    // Neither seed is valid for this workload: fall back to the
+                    // pruned enumeration for a starting pool.
+                    seeds = space.candidates(oracle);
+                    seeds.truncate(width);
+                }
+                if seeds.is_empty() {
+                    return Err(TuneError::EmptySpace {
+                        unpruned: space.len_unpruned(),
+                    });
+                }
+                self.evaluate_batch(
+                    oracle,
+                    &prefix,
+                    &seeds,
+                    &mut stats,
+                    &mut evaluated,
+                    &mut seen,
+                    &mut incumbent,
+                    &mut dominated,
+                );
+                // Both seeds may pass validation yet fail in the oracle (e.g.
+                // a compile error for an unsupported axis pair). Walk the
+                // pruned enumeration in chunks until something evaluates, so
+                // the beam has a starting pool whenever Exhaustive would have
+                // found one.
+                if evaluated.is_empty() {
+                    for chunk in space.candidates(oracle).chunks(16) {
                         self.evaluate_batch(
                             oracle,
-                            eval,
                             &prefix,
-                            &seeds,
+                            chunk,
                             &mut stats,
                             &mut evaluated,
                             &mut seen,
                             &mut incumbent,
                             &mut dominated,
                         );
-                        // Both seeds may pass validation yet fail in the oracle (e.g.
-                        // a compile error for an unsupported axis pair). Walk the
-                        // pruned enumeration in chunks until something evaluates, so
-                        // the beam has a starting pool whenever Exhaustive would have
-                        // found one.
-                        if evaluated.is_empty() {
-                            for chunk in space.candidates(oracle).chunks(16) {
-                                self.evaluate_batch(
-                                    oracle,
-                                    eval,
-                                    &prefix,
-                                    chunk,
-                                    &mut stats,
-                                    &mut evaluated,
-                                    &mut seen,
-                                    &mut incumbent,
-                                    &mut dominated,
-                                );
-                                if !evaluated.is_empty() {
-                                    break;
+                        if !evaluated.is_empty() {
+                            break;
+                        }
+                    }
+                }
+                let mut beam = Self::top(&evaluated, width);
+                let mut best = beam
+                    .first()
+                    .and_then(|c| seen.get(c))
+                    .map(|&i| evaluated[i].report.total_s);
+                for round in 1..=sweeps.max(1) {
+                    let _round_span = tilelink_probe::span("tune.beam_round");
+                    let mut improved = false;
+                    for axis in 0..SearchSpace::NUM_AXES {
+                        let mut frontier: Vec<OverlapConfig> = Vec::new();
+                        for base in &beam {
+                            for cfg in space.axis_variants(axis, base) {
+                                if valid(&cfg)
+                                    && !seen.contains_key(&cfg)
+                                    && !frontier.contains(&cfg)
+                                {
+                                    frontier.push(cfg);
                                 }
                             }
                         }
-                        let mut beam = Self::top(&evaluated, width);
-                        let mut best = beam
+                        self.evaluate_batch(
+                            oracle,
+                            &prefix,
+                            &frontier,
+                            &mut stats,
+                            &mut evaluated,
+                            &mut seen,
+                            &mut incumbent,
+                            &mut dominated,
+                        );
+                        beam = Self::top(&evaluated, width);
+                        let new_best = beam
                             .first()
                             .and_then(|c| seen.get(c))
                             .map(|&i| evaluated[i].report.total_s);
-                        for round in 1..=sweeps.max(1) {
-                            let _round_span = tilelink_probe::span("tune.beam_round");
-                            let mut improved = false;
-                            for axis in 0..SearchSpace::NUM_AXES {
-                                let mut frontier: Vec<OverlapConfig> = Vec::new();
-                                for base in &beam {
-                                    for cfg in space.axis_variants(axis, base) {
-                                        if valid(&cfg)
-                                            && !seen.contains_key(&cfg)
-                                            && !frontier.contains(&cfg)
-                                        {
-                                            frontier.push(cfg);
-                                        }
-                                    }
-                                }
-                                self.evaluate_batch(
-                                    oracle,
-                                    eval,
-                                    &prefix,
-                                    &frontier,
-                                    &mut stats,
-                                    &mut evaluated,
-                                    &mut seen,
-                                    &mut incumbent,
-                                    &mut dominated,
-                                );
-                                beam = Self::top(&evaluated, width);
-                                let new_best = beam
-                                    .first()
-                                    .and_then(|c| seen.get(c))
-                                    .map(|&i| evaluated[i].report.total_s);
-                                if new_best < best || best.is_none() {
-                                    best = new_best;
-                                    improved = true;
-                                }
-                            }
-                            let progress = RoundProgress {
-                                round,
-                                best_total_s: best.unwrap_or(f64::INFINITY),
-                                evaluations: stats.evaluations,
-                                cache_hits: stats.cache_hits,
-                            };
-                            if self.verbose {
-                                let patched =
-                                    TUNE_COMPILE_PATCHED.get().saturating_sub(patched_start);
-                                let rebuilds = TUNE_COMPILE_FULL_REBUILDS
-                                    .get()
-                                    .saturating_sub(rebuilds_start);
-                                let compiles = (patched + rebuilds).max(1);
-                                eprintln!(
-                            "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
-                            progress.round,
-                            progress.best_total_s * 1e3,
-                            progress.evaluations,
-                            progress.cache_hits,
-                            stats.failed,
-                            stats.bound_pruned,
-                            stats.bounded_aborts,
-                            patched as f64 / compiles as f64 * 100.0
-                        );
-                            }
-                            rounds.push(progress);
-                            if !improved {
-                                break;
-                            }
+                        if new_best < best || best.is_none() {
+                            best = new_best;
+                            improved = true;
                         }
-                        pruned.validate_rejected = validate_rejected.get();
-                        pruned.constraint_pruned = constraint_pruned.get();
+                    }
+                    let progress = RoundProgress {
+                        round,
+                        best_total_s: best.unwrap_or(f64::INFINITY),
+                        evaluations: stats.evaluations,
+                        cache_hits: stats.cache_hits,
+                    };
+                    if self.verbose {
+                        let patched = TUNE_COMPILE_PATCHED.get().saturating_sub(patched_start);
+                        let rebuilds = TUNE_COMPILE_FULL_REBUILDS
+                            .get()
+                            .saturating_sub(rebuilds_start);
+                        let compiles = (patched + rebuilds).max(1);
+                        eprintln!(
+                    "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
+                    progress.round,
+                    progress.best_total_s * 1e3,
+                    progress.evaluations,
+                    progress.cache_hits,
+                    stats.failed,
+                    stats.bound_pruned,
+                    stats.bounded_aborts,
+                    patched as f64 / compiles as f64 * 100.0
+                );
+                    }
+                    rounds.push(progress);
+                    if !improved {
+                        break;
                     }
                 }
-                Ok(())
+                pruned.validate_rejected = validate_rejected.get();
+                pruned.constraint_pruned = constraint_pruned.get();
             }
-        };
-        let strategy_result: std::result::Result<(), TuneError> = match &self.executor {
-            Some(exec) => {
-                // Shared warm pool: admission is bounded, so concurrent runs
-                // interleave their batches instead of stacking private pools.
-                let _session = exec.session();
-                run_strategy(&Eval::Shared(exec, cutoff_bits))
-            }
-            None => {
-                // One scoped worker pool for the whole search: threads (and
-                // their warm per-thread scratch) survive across beam batches.
-                let pool = EvalPool::new(cutoff_bits);
-                std::thread::scope(|scope| {
-                    for _ in 0..self.threads.max(1) {
-                        scope.spawn(|| pool.worker(oracle));
-                    }
-                    let out = run_strategy(&Eval::Pool(&pool, self.threads));
-                    pool.shutdown();
-                    out
-                })
-            }
-        };
-        strategy_result?;
+        }
+        drop(session);
 
         self.cache
             .lock()
@@ -839,7 +693,6 @@ impl Tuner {
     fn evaluate_batch(
         &self,
         oracle: &dyn CostOracle,
-        eval: &Eval,
         prefix: &str,
         configs: &[OverlapConfig],
         stats: &mut BatchStats,
@@ -858,7 +711,7 @@ impl Tuner {
             let (chunk, tail) = rest.split_at(width.min(rest.len()));
             rest = tail;
             self.evaluate_chunk(
-                oracle, eval, prefix, chunk, stats, evaluated, seen, incumbent, dominated,
+                oracle, prefix, chunk, stats, evaluated, seen, incumbent, dominated,
             );
         }
     }
@@ -868,7 +721,6 @@ impl Tuner {
     fn evaluate_chunk(
         &self,
         oracle: &dyn CostOracle,
-        eval: &Eval,
         prefix: &str,
         configs: &[OverlapConfig],
         stats: &mut BatchStats,
@@ -928,18 +780,18 @@ impl Tuner {
 
         // Oracle pass: fan the misses out over worker threads. Results land in
         // a slot per candidate, so completion order never affects ranking.
-        let mut results: Vec<Option<tilelink::Result<BoundedEval>>> = vec![None; misses.len()];
-        if !misses.is_empty() {
-            if eval.parallelism().min(misses.len()) <= 1 {
+        let mut results: Vec<Option<tilelink::Result<BoundedReport>>> =
+            if self.executor.threads().min(misses.len()) <= 1 {
                 // Evaluate on this thread (its scratch is warm too) rather
                 // than paying a pool round-trip for a single candidate.
-                for (slot, cfg) in results.iter_mut().zip(&misses) {
-                    *slot = Some(timed_eval(oracle, cfg, cutoff));
-                }
+                misses
+                    .iter()
+                    .map(|cfg| Some(timed_eval(oracle, cfg, cutoff)))
+                    .collect()
             } else {
-                results = eval.run(oracle, &misses);
-            }
-        }
+                self.executor
+                    .run_batch(oracle, &misses, Arc::clone(&incumbent.bits))
+            };
 
         // Merge, in candidate order.
         let mut cache = self.cache.lock().expect("tune cache lock poisoned");
@@ -957,7 +809,7 @@ impl Tuner {
                     let result = results[miss_idx].take().expect("evaluated slot");
                     miss_idx += 1;
                     match result {
-                        Ok(BoundedEval::Report(report)) => {
+                        Ok(BoundedReport::Report(report)) => {
                             stats.evaluations += 1;
                             TUNE_CANDIDATES_SIMULATED.inc();
                             incumbent.observe(report.total_s);
@@ -965,7 +817,7 @@ impl Tuner {
                             cache.insert(key, report);
                             (report, false)
                         }
-                        Ok(BoundedEval::Exceeded(_)) => {
+                        Ok(BoundedReport::Exceeded(_)) => {
                             // The objective value provably exceeds the
                             // incumbent: not ranked, not cached (the exact
                             // value is unknown), never re-dispatched.
@@ -1005,13 +857,7 @@ mod tests {
     fn analytic(counter: &AtomicUsize) -> impl CostOracle + '_ {
         FnOracle::new("analytic", ClusterSpec::h800_node(8), move |cfg| {
             counter.fetch_add(1, Ordering::SeqCst);
-            let tile = cfg.compute_tile.numel() as f64;
-            let order = match cfg.order {
-                tilelink::TileOrder::Ring => 0.9,
-                tilelink::TileOrder::AllToAll => 1.0,
-            };
-            let sms = cfg.comm_mapping.comm_sms() as f64;
-            let t = (1e9 / tile) * order + sms * 1e-3 + cfg.num_stages as f64 * 1e-4;
+            let t = toy_cost(cfg);
             Ok(OverlapReport::new(t, t / 3.0, 2.0 * t / 3.0))
         })
     }
@@ -1023,7 +869,7 @@ mod tests {
     }
 
     /// The analytic cost formula as a standalone function, so pruning tests
-    /// can reuse it as an exact (hence admissible) lower bound.
+    /// can also use it as an exact (hence admissible) lower bound.
     fn toy_cost(cfg: &OverlapConfig) -> f64 {
         let tile = cfg.compute_tile.numel() as f64;
         let order = match cfg.order {
@@ -1060,22 +906,21 @@ mod tests {
             &self.cluster
         }
 
-        fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-            let t = toy_cost(cfg);
-            Ok(OverlapReport::new(t, t / 3.0, 2.0 * t / 3.0))
-        }
-
         fn evaluate_bounded(
             &self,
             cfg: &OverlapConfig,
             cutoff: f64,
-        ) -> tilelink::Result<BoundedEval> {
+        ) -> tilelink::Result<BoundedReport> {
             let t = toy_cost(cfg);
             if t > cutoff {
                 self.aborts.fetch_add(1, Ordering::SeqCst);
-                return Ok(BoundedEval::Exceeded(t));
+                return Ok(BoundedReport::Exceeded(t));
             }
-            self.evaluate(cfg).map(BoundedEval::Report)
+            Ok(BoundedReport::Report(OverlapReport::new(
+                t,
+                t / 3.0,
+                2.0 * t / 3.0,
+            )))
         }
     }
 
@@ -1231,6 +1076,49 @@ mod tests {
         let order1: Vec<&OverlapConfig> = r1.ranked.iter().map(|c| &c.config).collect();
         let order2: Vec<&OverlapConfig> = r2.ranked.iter().map(|c| &c.config).collect();
         assert_eq!(order1, order2);
+    }
+
+    #[test]
+    fn a_panicking_oracle_fails_its_candidates_instead_of_hanging_the_search() {
+        // Panics must come back as failed candidates on both evaluation paths
+        // (inline single-miss chunks and executor batches) — a worker that
+        // dies without reporting would leave the batch barrier waiting
+        // forever, so the search runs on its own thread under a timeout.
+        let space = space();
+        let candidates = space.candidates(&analytic(&AtomicUsize::new(0)));
+        let expected = candidates
+            .iter()
+            .filter(|cfg| cfg.num_stages != 2)
+            .min_by(|a, b| toy_cost(a).total_cmp(&toy_cost(b)))
+            .copied()
+            .expect("a non-panicking candidate exists");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let panics = AtomicUsize::new(0);
+            let oracle = FnOracle::new("panicky", ClusterSpec::h800_node(8), |cfg| {
+                if cfg.num_stages == 2 {
+                    panics.fetch_add(1, Ordering::SeqCst);
+                    panic!("synthetic oracle panic");
+                }
+                let t = toy_cost(cfg);
+                Ok(OverlapReport::new(t, t / 3.0, 2.0 * t / 3.0))
+            });
+            let report = Tuner::new(Strategy::Exhaustive)
+                .with_threads(2)
+                .tune(&oracle, &space);
+            let _ = tx.send((report, panics.load(Ordering::SeqCst)));
+        });
+        let (report, panics) = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the search hung after an oracle panic");
+        let report = report.expect("the search survives panicking candidates");
+        assert!(panics > 0, "no candidate panicked");
+        assert_eq!(report.failed.simulation_error, panics);
+        assert_eq!(report.best.config, expected);
+        assert_eq!(
+            report.best.report.total_s.to_bits(),
+            toy_cost(&expected).to_bits()
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared-executor bit-identity over the standard search space.
 //!
 //! The serving daemon evaluates cold searches on a process-shared
-//! [`SearchExecutor`] instead of a private scoped pool. The executor contract
+//! [`SearchExecutor`] instead of the tuner's own. The executor contract
 //! is that this is *unobservable* in the search outcome: results land in a
 //! slot per candidate and merge in candidate order either way, so the same
 //! oracle + space + strategy must produce a bit-identical ranking — same
@@ -158,7 +158,7 @@ fn concurrent_sessions_interleave_without_cross_talk() {
 #[test]
 fn default_config_seed_survives_executor_path() {
     // The beam guarantee (never worse than the seed) must hold through the
-    // shared executor exactly as it does on the private pool.
+    // shared executor exactly as it does on the tuner's own.
     let calls = AtomicUsize::new(0);
     let report = Tuner::new(Strategy::Beam {
         width: 2,
@@ -170,7 +170,12 @@ fn default_config_seed_survives_executor_path() {
     let seed_cost = {
         let calls = AtomicUsize::new(0);
         let oracle = analytic(&calls);
-        oracle.evaluate(&OverlapConfig::default()).unwrap().total_s
+        oracle
+            .evaluate_bounded(&OverlapConfig::default(), f64::INFINITY)
+            .unwrap()
+            .report()
+            .expect("an infinite cutoff is never exceeded")
+            .total_s
     };
     assert!(report.best.report.total_s <= seed_cost);
 }

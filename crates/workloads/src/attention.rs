@@ -13,12 +13,12 @@ use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
 use tilelink::primitives::NotifyScope;
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, Compiler, DeviceHandle, OverlapReport, StaticMapping,
-    TileMapping,
+    detail_hash, BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, OverlapReport,
+    StaticMapping, TileMapping,
 };
 use tilelink_compute::{FlashAccumulator, Tensor};
 use tilelink_shmem::ProcessGroup;
-use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
+use tilelink_sim::SharedCost;
 
 use crate::mlp::BYTES_PER_ELEM;
 use crate::AttnShape;
@@ -213,21 +213,6 @@ pub fn sp_attention_program(
     (program, mapping)
 }
 
-/// Simulates the TileLink sequence-parallel attention kernel with the default
-/// analytic cost model.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_sp_attention(
-    shape: &AttnShape,
-    seq_len: usize,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_sp_attention_with(shape, seq_len, cfg, &analytic_cost(cluster))
-}
-
 /// Simulates the TileLink sequence-parallel attention kernel priced by an
 /// explicit cost provider (the cluster is the provider's).
 ///
@@ -240,8 +225,20 @@ pub fn timed_sp_attention_with(
     cfg: &OverlapConfig,
     cost: &SharedCost,
 ) -> tilelink::Result<OverlapReport> {
+    let kernel = compile_sp_attention(shape, seq_len, cfg, cost)?;
+    simulate_report_with(&kernel, cost)
+}
+
+/// Compiles the sequence-parallel attention kernel for one shape and
+/// sequence length through the axis-neighbour compile cache.
+pub(crate) fn compile_sp_attention(
+    shape: &AttnShape,
+    seq_len: usize,
+    cfg: &OverlapConfig,
+    cost: &SharedCost,
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
+    Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new(
@@ -262,14 +259,14 @@ pub fn timed_sp_attention_with(
                     cfg,
                 ))
             },
-        )?;
-    simulate_report_with(&kernel, cost)
+        )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tilelink_compute::attention::attention_reference;
+    use tilelink_sim::{analytic_cost, ClusterSpec};
 
     #[test]
     fn functional_sp_attention_matches_reference() {
@@ -323,9 +320,9 @@ mod tests {
     #[test]
     fn timed_attention_overlaps_and_scales_with_sequence() {
         let shape = crate::shapes::attn_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let short = timed_sp_attention(&shape, 16_384, &cluster, &attention_config()).unwrap();
-        let long = timed_sp_attention(&shape, 65_536, &cluster, &attention_config()).unwrap();
+        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let short = timed_sp_attention_with(&shape, 16_384, &attention_config(), &cost).unwrap();
+        let long = timed_sp_attention_with(&shape, 65_536, &attention_config(), &cost).unwrap();
         assert!(short.total_s < long.total_s);
         assert!(short.total_s < short.comm_only_s + short.comp_only_s);
         assert!(long.overlap_ratio() > 0.2, "{long}");

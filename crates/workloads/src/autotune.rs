@@ -14,17 +14,16 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tilelink::exec::BoundedReport;
-use tilelink::{OverlapConfig, OverlapReport};
+use tilelink::exec::{simulate_report_bounded_with, BoundedReport};
+use tilelink::{CompiledKernel, OverlapConfig, OverlapReport};
 use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_tune::{
-    BoundedEval, CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache,
-    TuneReport, Tuner,
+    CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache, TuneReport, Tuner,
 };
 
 use crate::bounds;
 
-use crate::moe::{RoutingProfile, RoutingSampler};
+use crate::moe::{RoutingProfile, RoutingSample, RoutingSampler};
 use crate::{attention, mlp, moe, AttnShape, MlpShape, MoeShape};
 
 // ---------------------------------------------------------------------------
@@ -80,9 +79,47 @@ impl fmt::Display for RoutingSpec {
 // Oracles
 // ---------------------------------------------------------------------------
 
+/// Prices a two-half layer — `first`, the activation (`act` seconds), then
+/// `second` — against `cutoff` on the layer total.
+///
+/// The cutoff is threaded through both halves as a *residual budget*: the
+/// first half aborts once its makespan plus `act` and `second_lb` (an
+/// admissible bound on the second half) exceeds `cutoff`; with the first half
+/// priced exactly, `second_lb` alone may already certify the layer past the
+/// cutoff, which skips the second half's compile and simulation; otherwise the
+/// second half aborts once the running total does. An `Exceeded` clock is
+/// therefore a certified lower bound on the layer total, and with an infinite
+/// cutoff the report is bit-identical to simulating both halves unbounded.
+fn price_two_halves(
+    cost: &SharedCost,
+    first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
+    second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
+    act: f64,
+    second_lb: f64,
+    cutoff: f64,
+) -> tilelink::Result<BoundedReport> {
+    let first = match simulate_report_bounded_with(&first()?, cost, cutoff - act - second_lb)? {
+        BoundedReport::Report(report) => report,
+        BoundedReport::Exceeded(clock) => {
+            return Ok(BoundedReport::Exceeded(clock + second_lb + act))
+        }
+    };
+    if first.total_s + second_lb + act > cutoff {
+        return Ok(BoundedReport::Exceeded(first.total_s + second_lb + act));
+    }
+    let second = match simulate_report_bounded_with(&second()?, cost, cutoff - act - first.total_s)?
+    {
+        BoundedReport::Report(report) => report,
+        BoundedReport::Exceeded(clock) => {
+            return Ok(BoundedReport::Exceeded(first.total_s + clock + act))
+        }
+    };
+    Ok(BoundedReport::Report(crate::two_halves(first, second, act)))
+}
+
 /// Prices one config for the full tensor-parallel MLP layer (both halves plus
-/// the activation, mirroring [`mlp::timed_full_mlp`] but with the candidate
-/// config applied to both halves).
+/// the activation, mirroring [`mlp::timed_full_mlp_with`] but with the
+/// candidate config applied to both halves).
 #[derive(Debug, Clone)]
 pub struct MlpOracle {
     shape: MlpShape,
@@ -122,17 +159,6 @@ impl CostOracle for MlpOracle {
         self.cost.revision()
     }
 
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let ag = mlp::timed_ag_gemm_with(&self.shape, cfg, &self.cost)?;
-        let rs = mlp::timed_gemm_rs_with(&self.shape, cfg, &self.cost)?;
-        let act = mlp::activation_seconds_with(&self.shape, &*self.cost);
-        Ok(OverlapReport::new(
-            ag.total_s + rs.total_s + act,
-            ag.comm_only_s + rs.comm_only_s,
-            ag.comp_only_s + rs.comp_only_s + act,
-        ))
-    }
-
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
         Some(
             bounds::mlp_ag_gemm_bound(&self.shape, cfg, &*self.cost)
@@ -141,45 +167,19 @@ impl CostOracle for MlpOracle {
         )
     }
 
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        // Residual-budget composition: the AG half aborts once its makespan
-        // plus the admissible bound of the unsimulated remainder exceeds the
-        // cutoff; the RS half aborts once the running layer total does.
-        let act = mlp::activation_seconds_with(&self.shape, &*self.cost);
-        let rs_lb = bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost);
-        let ag = match mlp::timed_ag_gemm_bounded_with(
-            &self.shape,
-            cfg,
+    fn evaluate_bounded(
+        &self,
+        cfg: &OverlapConfig,
+        cutoff: f64,
+    ) -> tilelink::Result<BoundedReport> {
+        price_two_halves(
             &self.cost,
-            cutoff - act - rs_lb,
-        )? {
-            BoundedReport::Report(report) => report,
-            BoundedReport::Exceeded(clock) => {
-                return Ok(BoundedEval::Exceeded(clock + rs_lb + act))
-            }
-        };
-        // With the AG half priced exactly, the remainder's admissible bound
-        // may already certify the layer past the cutoff — skip the RS half's
-        // compile and simulation entirely.
-        if ag.total_s + rs_lb + act > cutoff {
-            return Ok(BoundedEval::Exceeded(ag.total_s + rs_lb + act));
-        }
-        let rs = match mlp::timed_gemm_rs_bounded_with(
-            &self.shape,
-            cfg,
-            &self.cost,
-            cutoff - act - ag.total_s,
-        )? {
-            BoundedReport::Report(report) => report,
-            BoundedReport::Exceeded(clock) => {
-                return Ok(BoundedEval::Exceeded(ag.total_s + clock + act))
-            }
-        };
-        Ok(BoundedEval::Report(OverlapReport::new(
-            ag.total_s + rs.total_s + act,
-            ag.comm_only_s + rs.comm_only_s,
-            ag.comp_only_s + rs.comp_only_s + act,
-        )))
+            || mlp::compile_ag_gemm(&self.shape, cfg, &self.cost),
+            || mlp::compile_gemm_rs(&self.shape, cfg, &self.cost),
+            mlp::activation_seconds_with(&self.shape, &*self.cost),
+            bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost),
+            cutoff,
+        )
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -230,21 +230,17 @@ impl CostOracle for MlpAgGemmOracle {
         self.cost.revision()
     }
 
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        mlp::timed_ag_gemm_with(&self.shape, cfg, &self.cost)
-    }
-
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
         Some(bounds::mlp_ag_gemm_bound(&self.shape, cfg, &*self.cost))
     }
 
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        Ok(
-            match mlp::timed_ag_gemm_bounded_with(&self.shape, cfg, &self.cost, cutoff)? {
-                BoundedReport::Report(report) => BoundedEval::Report(report),
-                BoundedReport::Exceeded(clock) => BoundedEval::Exceeded(clock),
-            },
-        )
+    fn evaluate_bounded(
+        &self,
+        cfg: &OverlapConfig,
+        cutoff: f64,
+    ) -> tilelink::Result<BoundedReport> {
+        let kernel = mlp::compile_ag_gemm(&self.shape, cfg, &self.cost)?;
+        simulate_report_bounded_with(&kernel, &self.cost, cutoff)
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -255,7 +251,7 @@ impl CostOracle for MlpAgGemmOracle {
 }
 
 /// Prices one config for the full MoE layer (both halves plus activation,
-/// mirroring [`moe::timed_full_moe`] with the candidate config).
+/// mirroring [`moe::timed_full_moe_with`] with the candidate config).
 ///
 /// By default the oracle prices the *expected* uniform routing through the
 /// static program builders (the historical behaviour, so existing figures and
@@ -335,30 +331,6 @@ impl CostOracle for MoeOracle {
         self.objective
     }
 
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let Some(spec) = &self.routing else {
-            let first = moe::timed_ag_group_gemm_with(&self.shape, cfg, &self.cost)?;
-            let second = moe::timed_group_gemm_rs_with(&self.shape, cfg, &self.cost)?;
-            let act = moe::activation_seconds_with(&self.shape, &*self.cost);
-            return Ok(OverlapReport::new(
-                first.total_s + second.total_s + act,
-                first.comm_only_s + second.comm_only_s,
-                first.comp_only_s + second.comp_only_s + act,
-            ));
-        };
-        let sampler = spec.sampler();
-        let mut reports = Vec::with_capacity(spec.samples.max(1));
-        for sample in sampler.samples_for(&self.shape, spec.samples.max(1)) {
-            reports.push(moe::timed_routed_full_moe_with(
-                &self.shape,
-                cfg,
-                &self.cost,
-                &sample,
-            )?);
-        }
-        Ok(self.objective.fold_reports(&reports))
-    }
-
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
         // The per-sample layer bound is routing-invariant (every sample
         // conserves the dispatched row count and the AG traffic), so it
@@ -371,45 +343,33 @@ impl CostOracle for MoeOracle {
         )
     }
 
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
+    fn evaluate_bounded(
+        &self,
+        cfg: &OverlapConfig,
+        cutoff: f64,
+    ) -> tilelink::Result<BoundedReport> {
+        let act = moe::activation_seconds_with(&self.shape, &*self.cost);
+        let second_lb = bounds::moe_second_bound(&self.shape, cfg, &*self.cost);
         let Some(spec) = &self.routing else {
-            // Expected-routing path: residual-budget composition over the two
-            // halves, exactly like the MLP oracle.
-            let act = moe::activation_seconds_with(&self.shape, &*self.cost);
-            let second_lb = bounds::moe_second_bound(&self.shape, cfg, &*self.cost);
-            let first = match moe::timed_ag_group_gemm_bounded_with(
-                &self.shape,
-                cfg,
+            return price_two_halves(
                 &self.cost,
-                cutoff - act - second_lb,
-            )? {
-                BoundedReport::Report(report) => report,
-                BoundedReport::Exceeded(clock) => {
-                    return Ok(BoundedEval::Exceeded(clock + second_lb + act))
-                }
-            };
-            // The first half is priced exactly; if even the second half's
-            // admissible bound keeps the layer past the cutoff, skip its
-            // compile and simulation entirely.
-            if first.total_s + second_lb + act > cutoff {
-                return Ok(BoundedEval::Exceeded(first.total_s + second_lb + act));
-            }
-            let second = match moe::timed_group_gemm_rs_bounded_with(
-                &self.shape,
-                cfg,
+                || moe::compile_ag_group_gemm(&self.shape, cfg, &self.cost),
+                || moe::compile_group_gemm_rs(&self.shape, cfg, &self.cost),
+                act,
+                second_lb,
+                cutoff,
+            );
+        };
+        // One sampled routing's layer total, priced against `budget`.
+        let price_sample = |sample: &RoutingSample, budget: f64| {
+            price_two_halves(
                 &self.cost,
-                cutoff - act - first.total_s,
-            )? {
-                BoundedReport::Report(report) => report,
-                BoundedReport::Exceeded(clock) => {
-                    return Ok(BoundedEval::Exceeded(first.total_s + clock + act))
-                }
-            };
-            return Ok(BoundedEval::Report(OverlapReport::new(
-                first.total_s + second.total_s + act,
-                first.comm_only_s + second.comm_only_s,
-                first.comp_only_s + second.comp_only_s + act,
-            )));
+                || moe::compile_routed_ag_group_gemm(&self.shape, cfg, &self.cost, sample),
+                || moe::compile_routed_group_gemm_rs(&self.shape, cfg, &self.cost, sample),
+                act,
+                second_lb,
+                budget,
+            )
         };
 
         let sampler = spec.sampler();
@@ -429,43 +389,33 @@ impl CostOracle for MoeOracle {
                 for (i, sample) in samples.iter().enumerate() {
                     let remaining_lb = (n - 1 - i) as f64 * lb_sample;
                     let budget = n as f64 * cutoff - sum - remaining_lb;
-                    match moe::timed_routed_full_moe_bounded_with(
-                        &self.shape,
-                        cfg,
-                        &self.cost,
-                        sample,
-                        budget,
-                    )? {
+                    match price_sample(sample, budget)? {
                         BoundedReport::Report(report) => {
                             sum += report.total_s;
                             reports.push(report);
                         }
                         BoundedReport::Exceeded(clock) => {
-                            return Ok(BoundedEval::Exceeded(
+                            return Ok(BoundedReport::Exceeded(
                                 (sum + clock + remaining_lb) / n as f64,
                             ))
                         }
                     }
                 }
-                Ok(BoundedEval::Report(self.objective.fold_reports(&reports)))
+                Ok(BoundedReport::Report(self.objective.fold_reports(&reports)))
             }
             Objective::WorstCase => {
                 // The fold is the slowest sample: the first abort already
                 // certifies worst > cutoff.
                 let mut reports = Vec::with_capacity(n);
                 for sample in &samples {
-                    match moe::timed_routed_full_moe_bounded_with(
-                        &self.shape,
-                        cfg,
-                        &self.cost,
-                        sample,
-                        cutoff,
-                    )? {
+                    match price_sample(sample, cutoff)? {
                         BoundedReport::Report(report) => reports.push(report),
-                        BoundedReport::Exceeded(clock) => return Ok(BoundedEval::Exceeded(clock)),
+                        BoundedReport::Exceeded(clock) => {
+                            return Ok(BoundedReport::Exceeded(clock))
+                        }
                     }
                 }
-                Ok(BoundedEval::Report(self.objective.fold_reports(&reports)))
+                Ok(BoundedReport::Report(self.objective.fold_reports(&reports)))
             }
             Objective::Percentile(_) => {
                 // Nearest-rank order statistic at sorted index `pick`:
@@ -484,13 +434,7 @@ impl CostOracle for MoeOracle {
                 let mut aborted_floor = f64::INFINITY;
                 let mut aborts = 0usize;
                 for sample in &samples {
-                    match moe::timed_routed_full_moe_bounded_with(
-                        &self.shape,
-                        cfg,
-                        &self.cost,
-                        sample,
-                        cutoff,
-                    )? {
+                    match price_sample(sample, cutoff)? {
                         BoundedReport::Report(report) => finished.push(report),
                         BoundedReport::Exceeded(clock) => {
                             aborts += 1;
@@ -499,17 +443,19 @@ impl CostOracle for MoeOracle {
                     }
                 }
                 if aborts > allowed_aborts {
-                    return Ok(BoundedEval::Exceeded(aborted_floor));
+                    return Ok(BoundedReport::Exceeded(aborted_floor));
                 }
                 if aborts == 0 {
-                    return Ok(BoundedEval::Report(self.objective.fold_reports(&finished)));
+                    return Ok(BoundedReport::Report(
+                        self.objective.fold_reports(&finished),
+                    ));
                 }
                 // Pick within the finished prefix: identical order statistic
                 // (stable sort, and finished totals never tie with aborted
                 // ones), without re-simulating the aborted samples.
                 let mut order: Vec<usize> = (0..finished.len()).collect();
                 order.sort_by(|&a, &b| finished[a].total_s.total_cmp(&finished[b].total_s));
-                Ok(BoundedEval::Report(finished[order[pick]]))
+                Ok(BoundedReport::Report(finished[order[pick]]))
             }
         }
     }
@@ -564,10 +510,14 @@ impl CostOracle for AttentionOracle {
         self.cost.revision()
     }
 
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        attention::timed_sp_attention_with(&self.shape, self.seq_len, cfg, &self.cost)
+    fn evaluate_bounded(
+        &self,
+        cfg: &OverlapConfig,
+        cutoff: f64,
+    ) -> tilelink::Result<BoundedReport> {
+        let kernel = attention::compile_sp_attention(&self.shape, self.seq_len, cfg, &self.cost)?;
+        simulate_report_bounded_with(&kernel, &self.cost, cutoff)
     }
-
     fn is_supported(&self, _cfg: &OverlapConfig) -> bool {
         self.seq_len.is_multiple_of(self.cluster().world_size())
     }
@@ -586,7 +536,8 @@ pub struct TuneOptions {
     pub space: SearchSpace,
     /// Persistent cache file; `None` keeps the cache in memory.
     pub cache_path: Option<PathBuf>,
-    /// Evaluation threads; `None` uses one per CPU.
+    /// Evaluation threads of the tuner's own executor; `None` uses one per
+    /// CPU. Ignored when [`TuneOptions::executor`] is set.
     pub threads: Option<usize>,
     /// Cost provider pricing the candidates; `None` uses the analytic model
     /// for the constructor's cluster. The provider's revision becomes part of
@@ -606,12 +557,12 @@ pub struct TuneOptions {
     /// stderr while tuning runs. The same numbers are always available
     /// afterwards in [`tilelink_tune::TuneReport::rounds`].
     pub verbose: bool,
-    /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
-    /// private per-run pool. `None` (the default) keeps the historical
-    /// scoped-pool behaviour; long-running processes (the serve daemon,
-    /// `reproduce --tune`) pass [`SearchExecutor::global`] so back-to-back
-    /// and concurrent searches share one warm pool. Results are
-    /// bit-identical either way.
+    /// Evaluates candidates on a shared [`SearchExecutor`] instead of the
+    /// tuner's own. `None` (the default) gives each search a private
+    /// executor sized by [`TuneOptions::threads`]; long-running processes
+    /// (the serve daemon, `reproduce --tune`) pass [`SearchExecutor::global`]
+    /// so back-to-back and concurrent searches share one warm pool. Results
+    /// are bit-identical either way.
     pub executor: Option<Arc<SearchExecutor>>,
     /// Physically removes same-scope cache entries recorded under another
     /// cost-model revision or objective at the start of the run (see
@@ -734,7 +685,7 @@ fn run_tune(oracle: &dyn CostOracle, opts: &TuneOptions) -> tilelink_tune::Resul
 }
 
 /// Searches the overlap design space for the full MLP layer and returns the
-/// tuned configuration (compare with [`mlp::timed_full_mlp`], which replays
+/// tuned configuration (compare with [`mlp::timed_full_mlp_with`], which replays
 /// the hand-picked defaults).
 ///
 /// # Errors
@@ -817,6 +768,15 @@ mod tests {
     use super::*;
     use tilelink::TileShape;
 
+    /// The oracle's exact (infinite-cutoff) report for `cfg`.
+    fn evaluate(oracle: &dyn CostOracle, cfg: &OverlapConfig) -> OverlapReport {
+        oracle
+            .evaluate_bounded(cfg, f64::INFINITY)
+            .unwrap()
+            .report()
+            .expect("an infinite cutoff is never exceeded")
+    }
+
     /// A compact space that keeps test runtimes low while still exercising
     /// several axes.
     fn small_space() -> SearchSpace {
@@ -835,7 +795,7 @@ mod tests {
         let shape = crate::shapes::mlp_shapes()[0].clone();
         let cluster = ClusterSpec::h800_node(8);
         let oracle = MlpOracle::new(shape.clone(), cluster.clone());
-        let default_report = oracle.evaluate(&OverlapConfig::default()).unwrap();
+        let default_report = evaluate(&oracle, &OverlapConfig::default());
 
         let opts = TuneOptions {
             strategy: Strategy::Beam {
@@ -898,8 +858,8 @@ mod tests {
         assert_eq!(worst.objective(), Objective::WorstCase);
 
         let cfg = OverlapConfig::default();
-        let mean_report = mean.evaluate(&cfg).unwrap();
-        let worst_report = worst.evaluate(&cfg).unwrap();
+        let mean_report = evaluate(&mean, &cfg);
+        let worst_report = evaluate(&worst, &cfg);
         assert!(
             worst_report.total_s >= mean_report.total_s,
             "worst case {} < mean {}",
@@ -907,7 +867,7 @@ mod tests {
             mean_report.total_s
         );
         // Re-evaluation is bit-identical (fixed seed, deterministic sampler).
-        assert_eq!(mean.evaluate(&cfg).unwrap(), mean_report);
+        assert_eq!(evaluate(&mean, &cfg), mean_report);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! one node (8 GPUs, batch 4 × sequence 8192) or two nodes (16 GPUs, batch 8).
 
 use tilelink::OverlapConfig;
-use tilelink_sim::{analytic_cost, ClusterSpec, CostProvider, SharedCost};
+use tilelink_sim::{ClusterSpec, CostProvider, SharedCost};
 
 use crate::autotune::{self, TuneOptions};
 use crate::baselines;
@@ -117,16 +117,8 @@ fn ffn_tilelink_seconds(
     Ok(total)
 }
 
-/// End-to-end PyTorch (non-overlapping) estimate for one model.
-pub fn torch_model_timing(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> ModelTiming {
-    torch_model_timing_with(model, tokens, &*analytic_cost(cluster))
-}
-
-/// [`torch_model_timing`] priced by an explicit cost provider.
+/// End-to-end PyTorch (non-overlapping) estimate for one model, priced by an
+/// explicit cost provider.
 pub fn torch_model_timing_with(
     model: &ModelConfig,
     tokens: usize,
@@ -142,20 +134,8 @@ pub fn torch_model_timing_with(
     }
 }
 
-/// End-to-end TileLink estimate for one model.
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
-pub fn tilelink_model_timing(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> tilelink::Result<ModelTiming> {
-    tilelink_model_timing_with(model, tokens, &analytic_cost(cluster))
-}
-
-/// [`tilelink_model_timing`] priced by an explicit cost provider.
+/// End-to-end TileLink estimate for one model, priced by an explicit cost
+/// provider.
 ///
 /// # Errors
 ///
@@ -175,21 +155,6 @@ pub fn tilelink_model_timing_with(
     })
 }
 
-/// Speed-up of TileLink over PyTorch for one model on one cluster.
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
-pub fn model_speedup(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> tilelink::Result<f64> {
-    let torch = torch_model_timing(model, cluster, tokens);
-    let tl = tilelink_model_timing(model, cluster, tokens)?;
-    Ok(torch.total_s / tl.total_s)
-}
-
 /// Combined per-model comparison used by the Figure 11 harness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct E2eComparison {
@@ -206,20 +171,8 @@ impl E2eComparison {
     }
 }
 
-/// Runs the Figure 11 comparison for one model.
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
-pub fn compare_model(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> tilelink::Result<E2eComparison> {
-    compare_model_with(model, tokens, &analytic_cost(cluster))
-}
-
-/// [`compare_model`] priced by an explicit cost provider.
+/// Runs the Figure 11 comparison for one model, priced by an explicit cost
+/// provider.
 ///
 /// # Errors
 ///
@@ -374,13 +327,22 @@ pub fn two_node_setup() -> (ClusterSpec, usize) {
 mod tests {
     use super::*;
     use crate::shapes::model_configs;
+    use tilelink_sim::analytic_cost;
+
+    /// TileLink's speed-up over PyTorch for one model under the analytic
+    /// cost model.
+    fn speedup(model: &ModelConfig, cluster: &ClusterSpec, tokens: usize) -> f64 {
+        compare_model_with(model, tokens, &analytic_cost(cluster))
+            .unwrap()
+            .speedup()
+    }
 
     #[test]
     fn dense_models_speed_up_in_the_papers_range() {
         let (cluster, tokens) = single_node_setup();
         // Use a smaller dense model to keep the test fast.
         let model = &model_configs()[1]; // LLaMA2-7B
-        let s = model_speedup(model, &cluster, tokens).unwrap();
+        let s = speedup(model, &cluster, tokens);
         assert!(s > 1.05 && s < 1.8, "unexpected dense speedup {s:.2}");
     }
 
@@ -388,8 +350,8 @@ mod tests {
     fn moe_models_speed_up_at_least_as_much_as_dense() {
         let (cluster, tokens) = single_node_setup();
         let models = model_configs();
-        let dense = model_speedup(&models[1], &cluster, tokens).unwrap();
-        let moe = model_speedup(&models[5], &cluster, tokens).unwrap(); // Mixtral-8x7B
+        let dense = speedup(&models[1], &cluster, tokens);
+        let moe = speedup(&models[5], &cluster, tokens); // Mixtral-8x7B
         assert!(moe > 1.0);
         assert!(moe > dense * 0.8, "moe {moe:.2} vs dense {dense:.2}");
     }
@@ -398,15 +360,17 @@ mod tests {
     fn timings_scale_with_layer_count() {
         let (cluster, tokens) = single_node_setup();
         let models = model_configs();
-        let small = torch_model_timing(&models[1], &cluster, tokens); // 32 layers
-        let large = torch_model_timing(&models[3], &cluster, tokens); // 80 layers
+        let cost = analytic_cost(&cluster);
+        let small = torch_model_timing_with(&models[1], tokens, &*cost); // 32 layers
+        let large = torch_model_timing_with(&models[3], tokens, &*cost); // 80 layers
         assert!(large.total_s > small.total_s * 2.0);
     }
 
     #[test]
     fn comparison_struct_reports_speedup() {
         let (cluster, tokens) = single_node_setup();
-        let cmp = compare_model(&model_configs()[7], &cluster, tokens).unwrap(); // Qwen1.5 MoE
+        let cmp =
+            compare_model_with(&model_configs()[7], tokens, &analytic_cost(&cluster)).unwrap(); // Qwen1.5 MoE
         assert!(cmp.speedup() > 1.0, "speedup {}", cmp.speedup());
         assert_eq!(cmp.torch.model, "Qwen1.5-2.7B");
     }
@@ -426,7 +390,7 @@ mod tests {
         let (c8, t8) = single_node_setup();
         let (c16, t16) = two_node_setup();
         let model = &model_configs()[1]; // LLaMA2-7B
-        let torch8 = torch_model_timing(model, &c8, t8);
+        let torch8 = torch_model_timing_with(model, t8, &*analytic_cost(&c8));
         let cmp16 = compare_model_with(model, t16, &analytic_cost(&c16)).unwrap();
         let token_scale = (t16 / t8) as f64;
         assert!(

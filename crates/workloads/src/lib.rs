@@ -33,7 +33,20 @@ pub mod moe;
 pub mod shapes;
 pub mod simgraph;
 
+use tilelink::OverlapReport;
+
 pub use autotune::{RoutingSpec, TuneOptions, TunedLayer};
 pub use e2e::{E2eTunedComparison, TunedModelTiming};
 pub use moe::{RoutingProfile, RoutingSample, RoutingSampler};
 pub use shapes::{AttnShape, MlpShape, ModelConfig, MoeShape};
+
+/// A layer of two halves with a memory-bound activation (`act` seconds)
+/// between them: all three run back to back, and the activation counts as
+/// computation.
+pub(crate) fn two_halves(first: OverlapReport, second: OverlapReport, act: f64) -> OverlapReport {
+    OverlapReport::new(
+        first.total_s + second.total_s + act,
+        first.comm_only_s + second.comm_only_s,
+        first.comp_only_s + second.comp_only_s + act,
+    )
+}

@@ -18,9 +18,7 @@
 //! tile touches.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{
-    run_comm_compute, simulate_report_bounded_with, simulate_report_with, BoundedReport,
-};
+use tilelink::exec::{run_comm_compute, simulate_report_with};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
@@ -33,7 +31,7 @@ use tilelink_compute::group_gemm::expert_weight;
 use tilelink_compute::topk::{topk_routing, Routing};
 use tilelink_compute::{Dispatch, Tensor};
 use tilelink_shmem::ProcessGroup;
-use tilelink_sim::{analytic_cost, ClusterSpec, CostProvider, SharedCost};
+use tilelink_sim::{CostProvider, SharedCost};
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -421,20 +419,6 @@ fn routed_detail(shape: &MoeShape, world: usize, sample: &RoutingSample) -> u64 
     )
 }
 
-/// Simulates the TileLink AG + Gather + GroupGEMM kernel with the default
-/// analytic cost model.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_group_gemm(
-    shape: &MoeShape,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_ag_group_gemm_with(shape, cfg, &analytic_cost(cluster))
-}
-
 /// Simulates the TileLink AG + Gather + GroupGEMM kernel priced by an
 /// explicit cost provider (the cluster is the provider's).
 ///
@@ -450,23 +434,8 @@ pub fn timed_ag_group_gemm_with(
     simulate_report_with(&kernel, cost)
 }
 
-/// [`timed_ag_group_gemm_with`] with an abort cutoff on the overlapped
-/// makespan — the branch-and-bound fast path.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_group_gemm_bounded_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_ag_group_gemm(shape, cfg, cost)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_ag_group_gemm(
+/// Compiles the AG + Gather + GroupGEMM kernel for the expected routing.
+pub(crate) fn compile_ag_group_gemm(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
@@ -478,20 +447,6 @@ fn compile_ag_group_gemm(
             CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world)),
             || Ok(ag_group_gemm_program(shape, world, cfg)),
         )
-}
-
-/// Simulates the TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel with
-/// the default analytic cost model.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_group_gemm_rs(
-    shape: &MoeShape,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_group_gemm_rs_with(shape, cfg, &analytic_cost(cluster))
 }
 
 /// Simulates the TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel
@@ -509,23 +464,9 @@ pub fn timed_group_gemm_rs_with(
     simulate_report_with(&kernel, cost)
 }
 
-/// [`timed_group_gemm_rs_with`] with an abort cutoff on the overlapped
-/// makespan.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_group_gemm_rs_bounded_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_group_gemm_rs(shape, cfg, cost)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_group_gemm_rs(
+/// Compiles the GroupGEMM + Scatter + TopK-Reduce + RS kernel for the
+/// expected routing (communication pinned to the hybrid mapping).
+pub(crate) fn compile_group_gemm_rs(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
@@ -541,16 +482,6 @@ fn compile_group_gemm_rs(
         )
 }
 
-/// Simulates the full TileLink MoE layer (both halves plus the activation)
-/// with the default analytic cost model.
-///
-/// # Errors
-///
-/// Returns an error if either half fails.
-pub fn timed_full_moe(shape: &MoeShape, cluster: &ClusterSpec) -> tilelink::Result<OverlapReport> {
-    timed_full_moe_with(shape, &analytic_cost(cluster))
-}
-
 /// Simulates the full TileLink MoE layer priced by an explicit cost provider.
 ///
 /// # Errors
@@ -561,11 +492,7 @@ pub fn timed_full_moe_with(shape: &MoeShape, cost: &SharedCost) -> tilelink::Res
     let first = timed_ag_group_gemm_with(shape, &cfg, cost)?;
     let second = timed_group_gemm_rs_with(shape, &cfg, cost)?;
     let act = activation_seconds_with(shape, &**cost);
-    Ok(OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    ))
+    Ok(crate::two_halves(first, second, act))
 }
 
 /// Time of the expert-MLP activation between the two MoE halves, priced by an
@@ -1094,23 +1021,8 @@ pub fn timed_routed_ag_group_gemm_with(
     simulate_report_with(&kernel, cost)
 }
 
-/// [`timed_routed_ag_group_gemm_with`] with an abort cutoff.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_routed_ag_group_gemm_bounded_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_routed_ag_group_gemm(shape, cfg, cost, sample)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_routed_ag_group_gemm(
+/// Compiles the routed AG + Gather + GroupGEMM kernel for one sampled routing.
+pub(crate) fn compile_routed_ag_group_gemm(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
@@ -1144,23 +1056,9 @@ pub fn timed_routed_group_gemm_rs_with(
     simulate_report_with(&kernel, cost)
 }
 
-/// [`timed_routed_group_gemm_rs_with`] with an abort cutoff.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_routed_group_gemm_rs_bounded_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_routed_group_gemm_rs(shape, cfg, cost, sample)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_routed_group_gemm_rs(
+/// Compiles the routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one
+/// sampled routing (communication pinned to the hybrid mapping).
+pub(crate) fn compile_routed_group_gemm_rs(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
@@ -1195,75 +1093,14 @@ pub fn timed_routed_full_moe_with(
     let first = timed_routed_ag_group_gemm_with(shape, cfg, cost, sample)?;
     let second = timed_routed_group_gemm_rs_with(shape, cfg, cost, sample)?;
     let act = activation_seconds_with(shape, &**cost);
-    Ok(OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    ))
-}
-
-/// [`timed_routed_full_moe_with`] with an abort cutoff on the layer total.
-///
-/// The cutoff is threaded through both halves as a *residual budget*: the
-/// first half aborts once its makespan alone makes the layer total exceed
-/// `cutoff` (using the admissible lower bound of the second half for the
-/// unsimulated remainder), the second once the running total does. An
-/// `Exceeded` clock is therefore a certified lower bound on the full layer
-/// total; with an infinite cutoff the report is bit-identical to
-/// [`timed_routed_full_moe_with`].
-///
-/// # Errors
-///
-/// Returns an error if either half fails to compile or simulate.
-pub fn timed_routed_full_moe_bounded_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
-    let act = activation_seconds_with(shape, &**cost);
-    let second_lb = crate::bounds::moe_second_bound(shape, cfg, &**cost);
-    let first = match timed_routed_ag_group_gemm_bounded_with(
-        shape,
-        cfg,
-        cost,
-        sample,
-        cutoff - act - second_lb,
-    )? {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(clock + second_lb + act))
-        }
-    };
-    // The first half is priced exactly; if even the second half's admissible
-    // bound keeps the sample past the cutoff, skip its compile and simulation.
-    if first.total_s + second_lb + act > cutoff {
-        return Ok(BoundedReport::Exceeded(first.total_s + second_lb + act));
-    }
-    let second = match timed_routed_group_gemm_rs_bounded_with(
-        shape,
-        cfg,
-        cost,
-        sample,
-        cutoff - act - first.total_s,
-    )? {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(first.total_s + clock + act))
-        }
-    };
-    Ok(BoundedReport::Report(OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    )))
+    Ok(crate::two_halves(first, second, act))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tilelink_compute::group_gemm::group_gemm;
+    use tilelink_sim::{analytic_cost, ClusterSpec};
 
     fn reference(
         tokens: &Tensor,
@@ -1318,8 +1155,8 @@ mod tests {
     #[test]
     fn timed_moe_first_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let report = timed_ag_group_gemm(&shape, &cluster, &moe_config()).unwrap();
+        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let report = timed_ag_group_gemm_with(&shape, &moe_config(), &cost).unwrap();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         assert!(report.total_ms() > 0.01 && report.total_ms() < 20.0);
     }
@@ -1327,17 +1164,17 @@ mod tests {
     #[test]
     fn timed_moe_second_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let report = timed_group_gemm_rs(&shape, &cluster, &moe_config()).unwrap();
+        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let report = timed_group_gemm_rs_with(&shape, &moe_config(), &cost).unwrap();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
     }
 
     #[test]
     fn timed_full_moe_scales_with_topk() {
         let shapes = crate::shapes::moe_shapes();
-        let cluster = ClusterSpec::h800_node(8);
-        let k2 = timed_full_moe(&shapes[1], &cluster).unwrap(); // MoE-2: topk 2
-        let k5 = timed_full_moe(&shapes[2], &cluster).unwrap(); // MoE-3: topk 5
+        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let k2 = timed_full_moe_with(&shapes[1], &cost).unwrap(); // MoE-2: topk 2
+        let k5 = timed_full_moe_with(&shapes[2], &cost).unwrap(); // MoE-3: topk 5
         assert!(k5.total_s > k2.total_s);
     }
 

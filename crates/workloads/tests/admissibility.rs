@@ -10,19 +10,21 @@
 //!   simulated unbounded, prices no better than the final winner;
 //! * (b) the bounded and unbounded searches return bit-identical winners and
 //!   winning makespans;
-//! * the raw bound invariant `lower_bound(cfg) <= evaluate(cfg).total_s`
-//!   (or the folded objective value) for every candidate in the space.
+//! * the raw bound invariant `lower_bound(cfg) <= total_s` (or the folded
+//!   objective value) for every candidate in the space;
+//! * infinite-cutoff parity: `evaluate_bounded(cfg, ∞)` is bit-identical to a
+//!   reference report built here from the unbounded per-kernel functions, so
+//!   an oracle is never checked against itself.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use tilelink::{CommMapping, OverlapConfig, TileShape};
+use tilelink::exec::BoundedReport;
+use tilelink::{CommMapping, OverlapConfig, OverlapReport, TileShape};
 use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec, SharedCost};
-use tilelink_tune::{
-    BoundedEval, CostOracle, Objective, SearchSpace, Strategy, Tuner, RING_REQUIRES_PUSH,
-};
-use tilelink_workloads::autotune::{MlpOracle, MoeOracle};
-use tilelink_workloads::{RoutingProfile, RoutingSpec};
+use tilelink_tune::{CostOracle, Objective, SearchSpace, Strategy, Tuner, RING_REQUIRES_PUSH};
+use tilelink_workloads::autotune::{AttentionOracle, MlpOracle, MoeOracle};
+use tilelink_workloads::{attention, mlp, moe, MlpShape, RoutingProfile, RoutingSpec};
 
 /// Tiny deterministic xorshift so the sub-spaces are seeded and reproducible.
 struct Rng(u64);
@@ -79,12 +81,35 @@ fn random_space(rng: &mut Rng) -> SearchSpace {
         .with_constraint(RING_REQUIRES_PUSH)
 }
 
+/// The full MLP layer priced by the unbounded per-half functions.
+fn mlp_reference<'a>(
+    shape: &'a MlpShape,
+    cost: &'a SharedCost,
+) -> impl Fn(&OverlapConfig) -> OverlapReport + 'a {
+    move |cfg| {
+        let ag = mlp::timed_ag_gemm_with(shape, cfg, cost).expect("AG half simulates");
+        let rs = mlp::timed_gemm_rs_with(shape, cfg, cost).expect("RS half simulates");
+        let act = mlp::activation_seconds_with(shape, &**cost);
+        OverlapReport::new(
+            ag.total_s + rs.total_s + act,
+            ag.comm_only_s + rs.comm_only_s,
+            ag.comp_only_s + rs.comp_only_s + act,
+        )
+    }
+}
+
 /// Drives one oracle through one sub-space with pruning on and off and checks
-/// the full admissibility contract.
-fn assert_admissible<O: CostOracle>(oracle: &O, space: &SearchSpace, strategy: Strategy) -> usize {
+/// the full admissibility contract. `reference` prices a candidate exactly,
+/// independently of the oracle.
+fn assert_admissible<O: CostOracle>(
+    oracle: &O,
+    reference: impl Fn(&OverlapConfig) -> OverlapReport,
+    space: &SearchSpace,
+    strategy: Strategy,
+) -> usize {
     // Raw bound invariant plus bounded-evaluation parity at infinite cutoff.
     for cfg in space.candidates(oracle) {
-        let report = oracle.evaluate(&cfg).expect("candidate simulates");
+        let report = reference(&cfg);
         if let Some(lb) = oracle.lower_bound(&cfg) {
             assert!(
                 lb <= report.total_s,
@@ -96,11 +121,11 @@ fn assert_admissible<O: CostOracle>(oracle: &O, space: &SearchSpace, strategy: S
             .evaluate_bounded(&cfg, f64::INFINITY)
             .expect("bounded eval succeeds")
         {
-            BoundedEval::Report(bounded) => assert_eq!(
+            BoundedReport::Report(bounded) => assert_eq!(
                 bounded, report,
                 "infinite-cutoff evaluation diverged for {cfg:?}"
             ),
-            BoundedEval::Exceeded(_) => panic!("infinite cutoff aborted for {cfg:?}"),
+            BoundedReport::Exceeded(_) => panic!("infinite cutoff aborted for {cfg:?}"),
         }
     }
 
@@ -130,7 +155,7 @@ fn assert_admissible<O: CostOracle>(oracle: &O, space: &SearchSpace, strategy: S
             if ranked.contains(&cfg) {
                 continue;
             }
-            let report = oracle.evaluate(&cfg).expect("pruned candidate simulates");
+            let report = reference(&cfg);
             assert!(
                 report.total_s >= bounded.best.report.total_s,
                 "pruned candidate {cfg:?} beats the winner: {} < {}",
@@ -162,8 +187,13 @@ fn mlp_pruning_is_admissible_across_random_subspaces_and_cost_models() {
     for round in 0..2 {
         let space = random_space(&mut rng);
         for (name, cost) in providers(&cluster) {
-            let oracle = MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost);
-            let pruned = assert_admissible(&oracle, &space, Strategy::Exhaustive);
+            let oracle = MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
+            let pruned = assert_admissible(
+                &oracle,
+                mlp_reference(&shape, &cost),
+                &space,
+                Strategy::Exhaustive,
+            );
             eprintln!("round {round} ({name}): {pruned} bound-pruned");
             pruned_total += pruned;
         }
@@ -186,6 +216,8 @@ fn routed_moe_pruning_is_admissible_for_tail_objectives() {
         samples: 3,
         ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
     };
+    let cost = analytic_cost(&cluster);
+    let samples = spec.sampler().samples_for(&shape, spec.samples);
     for objective in [
         Objective::Mean,
         Objective::Percentile(67),
@@ -194,7 +226,19 @@ fn routed_moe_pruning_is_admissible_for_tail_objectives() {
         let oracle = MoeOracle::new(shape.clone(), cluster.clone())
             .with_routing(spec)
             .with_objective(objective);
-        assert_admissible(&oracle, &space, Strategy::Exhaustive);
+        // Each sampled routing priced by the unbounded routed layer, then
+        // folded by the objective.
+        let reference = |cfg: &OverlapConfig| {
+            let reports: Vec<OverlapReport> = samples
+                .iter()
+                .map(|sample| {
+                    moe::timed_routed_full_moe_with(&shape, cfg, &cost, sample)
+                        .expect("routed layer simulates")
+                })
+                .collect();
+            objective.fold_reports(&reports)
+        };
+        assert_admissible(&oracle, reference, &space, Strategy::Exhaustive);
     }
 }
 
@@ -204,13 +248,48 @@ fn beam_search_winners_survive_pruning_bit_for_bit() {
     let cluster = ClusterSpec::h800_node(8);
     let mut rng = Rng(0xbeef_cafe_f00d_0005);
     let space = random_space(&mut rng);
-    let oracle = MlpOracle::new(shape, cluster);
+    let cost = analytic_cost(&cluster);
+    let oracle = MlpOracle::new(shape.clone(), cluster);
     assert_admissible(
         &oracle,
+        mlp_reference(&shape, &cost),
         &space,
         Strategy::Beam {
             width: 2,
             sweeps: 2,
         },
     );
+}
+
+#[test]
+fn attention_bounded_simulation_is_admissible_under_both_cost_models() {
+    let shape = tilelink_workloads::shapes::attn_shapes()[0].clone();
+    let seq_len = shape.seq_lens[0];
+    let cluster = ClusterSpec::h800_node(8);
+    // Only the comm mapping changes the attention kernel's price (the program
+    // ignores the tiling axes). The mappings run from the slowest to the
+    // fastest under the analytic model, so each improvement arrives after an
+    // incumbent exists and must survive the bounded simulation to win.
+    let space = SearchSpace::new()
+        .with_compute_tiles([TileShape::new(128, 128), TileShape::new(256, 256)])
+        .with_mappings([
+            CommMapping::CopyEngine,
+            CommMapping::Hybrid { sms: 16 },
+            CommMapping::Sm { sms: 20 },
+        ])
+        .with_stages([2, 3, 4]);
+    let mut aborted_total = 0;
+    for (name, cost) in providers(&cluster) {
+        let oracle =
+            AttentionOracle::new(shape.clone(), seq_len, cluster.clone()).with_cost(cost.clone());
+        let reference = |cfg: &OverlapConfig| {
+            attention::timed_sp_attention_with(&shape, seq_len, cfg, &cost)
+                .expect("attention simulates")
+        };
+        let aborted = assert_admissible(&oracle, reference, &space, Strategy::Exhaustive);
+        eprintln!("attention ({name}): {aborted} bounded aborts");
+        aborted_total += aborted;
+    }
+    // Without a lower bound every disposal is a bounded-simulation abort.
+    assert!(aborted_total > 0, "attention never aborted a simulation");
 }

@@ -75,8 +75,10 @@ fn main() {
     // What the hand-picked default costs.
     let oracle = MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
     let default_report = oracle
-        .evaluate(&OverlapConfig::default())
-        .expect("default config evaluates");
+        .evaluate_bounded(&OverlapConfig::default(), f64::INFINITY)
+        .expect("default config evaluates")
+        .report()
+        .expect("an infinite cutoff is never exceeded");
     println!("default config: {default_report}");
 
     // Beam search over the standard space (the high-level path).
