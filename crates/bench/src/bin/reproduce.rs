@@ -425,8 +425,8 @@ fn run(
                 );
                 match (&r.tuned, r.tuned_speedup()) {
                     (Some(t), Some(s)) => println!(
-                        "   tuned {:>10.1} ms   speedup {s:.2}x ({} sims, {} cached)",
-                        t.ms, t.evaluations, t.cache_hits
+                        "   tuned {:>10.1} ms   speedup {s:.2}x ({} sims, {} aborted, {} cached)",
+                        t.ms, t.evaluations, t.bounded_aborts, t.cache_hits
                     ),
                     _ => println!(),
                 }
@@ -561,13 +561,12 @@ fn tune(
         let speedup = default_ms / tuned.layer.total_ms();
         speedups.push(speedup);
         println!(
-            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} sims, {} cached) best: {}",
+            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {}) best: {}",
             shape.name,
             default_ms,
             tuned.layer.total_ms(),
             speedup,
-            tuned.search.evaluations,
-            tuned.search.cache_hits,
+            effort(&tuned.search),
             tuned.config.cache_key()
         );
     }
@@ -588,13 +587,12 @@ fn tune(
         let speedup = default_ms / tuned.layer.total_ms();
         speedups.push(speedup);
         println!(
-            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} sims, {} cached) best: {}",
+            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {}) best: {}",
             shape.name,
             default_ms,
             tuned.layer.total_ms(),
             speedup,
-            tuned.search.evaluations,
-            tuned.search.cache_hits,
+            effort(&tuned.search),
             tuned.config.cache_key()
         );
         mean_winners.push((shape, tuned));
@@ -624,13 +622,12 @@ fn tune(
             mean_tuned.layer.total_ms(),
         );
         println!(
-            "         {}/{} best:   {:<44} {:>9.3} ms  ({} sims, {} cached)  [{marker}]",
+            "         {}/{} best:   {:<44} {:>9.3} ms  ({})  [{marker}]",
             spec.profile,
             objective,
             routed.config.cache_key(),
             routed.layer.total_ms(),
-            routed.search.evaluations,
-            routed.search.cache_hits,
+            effort(&routed.search),
         );
     }
 }
@@ -638,7 +635,8 @@ fn tune(
 /// Reduced tuning smoke for `--quick --tune`: one MoE shape, a compact space,
 /// few routing samples — enough to exercise the routing-aware search end to
 /// end without the cost of the full `--tune` pass. CI runs this under both
-/// cost models.
+/// cost models, against the persistent default cache, and checks that a
+/// rerun simulates nothing.
 fn quick_tune_smoke(
     cluster: &tilelink_sim::ClusterSpec,
     cost: &tilelink_sim::SharedCost,
@@ -664,6 +662,7 @@ fn quick_tune_smoke(
         space,
         ..TuneOptions::default()
     }
+    .with_default_cache()
     .with_cost(cost.clone())
     .with_executor(tilelink_tune::SearchExecutor::global())
     .with_verbose(verbose);
@@ -672,10 +671,10 @@ fn quick_tune_smoke(
     let mean_tuned =
         autotune::tuned_full_moe(&shape, cluster, &base).expect("mean tuning succeeds");
     println!(
-        "mean/uniform best: {:<44} {:>9.3} ms ({} sims)",
+        "mean/uniform best: {:<44} {:>9.3} ms ({})",
         mean_tuned.config.cache_key(),
         mean_tuned.layer.total_ms(),
-        mean_tuned.search.evaluations,
+        effort(&mean_tuned.search),
     );
     let Some(mut spec) = routing else { return };
     spec.samples = 4; // smoke: fewer sampled routings per candidate
@@ -688,12 +687,12 @@ fn quick_tune_smoke(
         "DIFFERS"
     };
     println!(
-        "{}/{} best:     {:<44} {:>9.3} ms ({} sims)  [{marker}]",
+        "{}/{} best:     {:<44} {:>9.3} ms ({})  [{marker}]",
         spec.profile,
         objective,
         routed.config.cache_key(),
         routed.layer.total_ms(),
-        routed.search.evaluations,
+        effort(&routed.search),
     );
 }
 
@@ -746,11 +745,12 @@ fn quick_e2e_tune_smoke(
                 tilelink_workloads::e2e::compare_model_tuned_with(model, tokens, &cost, &opts)
                     .expect("tuned e2e smoke");
             println!(
-                "{label:<8} {:<14} default speedup {:.2}x   tuned speedup {:.2}x ({} sims, {} cached)",
+                "{label:<8} {:<14} default speedup {:.2}x   tuned speedup {:.2}x ({} sims, {} aborted, {} cached)",
                 model.name,
                 cmp.default_speedup(),
                 cmp.tuned_speedup(),
                 cmp.tuned.evaluations,
+                cmp.tuned.bounded_aborts,
                 cmp.tuned.cache_hits
             );
         }
@@ -1023,4 +1023,14 @@ fn default_ms(
                 .expect("an infinite cutoff is never exceeded")
                 .total_ms()
         })
+}
+
+/// The search-effort part of an autotune row. A rerun answered entirely from
+/// the tune cache prints `0 sims, 0 aborted`: every candidate is a cached
+/// report or is disposed of by its bound or cached floor.
+fn effort(search: &tilelink_tune::TuneReport) -> String {
+    format!(
+        "{} sims, {} aborted, {} cached",
+        search.evaluations, search.bounded_aborts, search.cache_hits
+    )
 }

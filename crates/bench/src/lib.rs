@@ -335,6 +335,8 @@ pub struct TunedE2e {
     pub ms: f64,
     /// Simulator evaluations the layer searches performed for this model.
     pub evaluations: usize,
+    /// Bounded simulations the layer searches aborted past the incumbent.
+    pub bounded_aborts: usize,
     /// Lookups served by the persistent tuning cache instead of the simulator.
     pub cache_hits: usize,
 }
@@ -427,6 +429,7 @@ pub fn fig11_tuned(
                 tuned: Some(TunedE2e {
                     ms: cmp.tuned.timing.total_s * 1e3,
                     evaluations: cmp.tuned.evaluations,
+                    bounded_aborts: cmp.tuned.bounded_aborts,
                     cache_hits: cmp.tuned.cache_hits,
                 }),
             }

@@ -216,6 +216,10 @@ pub static TUNE_CANDIDATES_FAILED_SIM: Counter = Counter::new("tune.candidates.f
 /// Candidates skipped without compiling or simulating because their admissible
 /// analytic lower bound already met or exceeded the incumbent best.
 pub static TUNE_CANDIDATES_PRUNED_BOUND: Counter = Counter::new("tune.candidates.pruned_bound");
+/// Candidates skipped without compiling or simulating because a floor
+/// recorded in the tune cache by an earlier run's bounded abort already met
+/// or exceeded the incumbent best.
+pub static TUNE_CANDIDATES_PRUNED_FLOOR: Counter = Counter::new("tune.candidates.pruned_floor");
 /// Bounded fast-path simulations that aborted early because the simulated
 /// clock provably exceeded the incumbent cutoff.
 pub static SIM_MAKESPAN_BOUNDED_ABORTS: Counter = Counter::new("sim.makespan_bounded_aborts");
@@ -284,6 +288,7 @@ static COUNTERS: &[&Counter] = &[
     &TUNE_CANDIDATES_PRUNED_CONSTRAINT,
     &TUNE_CANDIDATES_FAILED_SIM,
     &TUNE_CANDIDATES_PRUNED_BOUND,
+    &TUNE_CANDIDATES_PRUNED_FLOOR,
     &SIM_MAKESPAN_BOUNDED_ABORTS,
     &TUNE_COMPILE_PATCHED,
     &TUNE_COMPILE_FULL_REBUILDS,

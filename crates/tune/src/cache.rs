@@ -3,6 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use tilelink::{OverlapConfig, OverlapReport};
@@ -26,6 +27,11 @@ pub const CACHE_PATH_ENV: &str = "TILELINK_TUNE_CACHE";
 /// then assert the real cache file is untouched. Never set it outside tests.
 pub const FLUSH_ABORT_ENV: &str = "TILELINK_TUNE_CACHE_FLUSH_ABORT";
 
+/// Second column of a floor line (`key<TAB>floor<TAB>seconds`). Floor lines
+/// have three columns, so a parser that only knows four-column report lines
+/// skips them as malformed instead of reading a bound as a timing.
+const FLOOR_TAG: &str = "floor";
+
 fn flush_abort_point(point: &str) {
     if std::env::var(FLUSH_ABORT_ENV).as_deref() == Ok(point) {
         std::process::abort();
@@ -40,18 +46,72 @@ fn flush_abort_point(point: &str) {
 /// microseconds instead of the whole tuning run).
 static FLUSH_LOCK: Mutex<()> = Mutex::new(());
 
-/// A persistent map from tuning keys to simulated timing reports.
+/// The two line kinds of a cache file: simulated reports and certified
+/// branch-and-bound floors, keyed alike.
+#[derive(Debug, Default)]
+struct Contents {
+    reports: HashMap<String, OverlapReport>,
+    floors: HashMap<String, f64>,
+}
+
+impl Contents {
+    /// Records `floor` under `key` unless a report supersedes it or a larger
+    /// floor is already known. Returns whether the stored floor changed.
+    fn raise_floor(&mut self, key: &str, floor: f64) -> bool {
+        if !floor.is_finite() || self.reports.contains_key(key) {
+            return false;
+        }
+        match self.floors.get_mut(key) {
+            Some(old) if *old >= floor => false,
+            Some(old) => {
+                *old = floor;
+                true
+            }
+            None => {
+                self.floors.insert(key.to_string(), floor);
+                true
+            }
+        }
+    }
+
+    /// Every key, report or floor, in `scope` but outside `current_prefix`.
+    fn stale_keys<'a>(
+        &'a self,
+        scope: &'a str,
+        current_prefix: &str,
+    ) -> impl Iterator<Item = &'a String> + 'a {
+        let current = format!("{current_prefix}|");
+        self.reports
+            .keys()
+            .chain(self.floors.keys())
+            .filter(move |k| k.starts_with(scope) && !k.starts_with(&current))
+    }
+}
+
+/// A persistent map from tuning keys to simulated timing reports, plus the
+/// certified lower bounds of candidates that branch-and-bound disposed of.
 ///
 /// The on-disk format is a line-oriented TSV so cache files can be inspected
-/// and diffed: `key<TAB>total_s<TAB>comm_only_s<TAB>comp_only_s`. Keys combine
-/// the oracle's workload key, the [`crate::cluster_key`] of the cluster, the
-/// cost-model revision ([`crate::CostOracle::cost_revision`]), the objective
-/// key ([`crate::Objective::key`]) and [`OverlapConfig::cache_key`], none of
-/// which contain tabs or newlines. Because the revision and the objective are
-/// part of the key, entries evaluated under a different cost model — or tuned
-/// for a different statistic of the sampled makespans — simply miss: a stale
-/// cache self-invalidates instead of serving timings the current model would
-/// not produce, and mean-tuned entries never alias with p99-tuned ones.
+/// and diffed. A report line is `key<TAB>total_s<TAB>comm_only_s<TAB>comp_only_s`.
+/// A floor line is `key<TAB>floor<TAB>seconds`: the objective value of that
+/// candidate is proven to be at least `seconds` (the clock at which a bounded
+/// simulation aborted past the incumbent, see [`TuneCache::record_floor`]).
+/// Floor lines have three columns, so a reader that only understands report
+/// lines skips them as malformed and can never mistake a bound for a timing.
+///
+/// Keys combine the oracle's workload key, the [`crate::cluster_key`] of the
+/// cluster, the cost-model revision ([`crate::CostOracle::cost_revision`]),
+/// the objective key ([`crate::Objective::key`]) and
+/// [`OverlapConfig::cache_key`], none of which contain tabs or newlines.
+/// Because the revision and the objective are part of the key, entries
+/// evaluated under a different cost model — or tuned for a different
+/// statistic of the sampled makespans — simply miss: a stale cache
+/// self-invalidates instead of serving timings the current model would not
+/// produce, and mean-tuned entries never alias with p99-tuned ones.
+///
+/// A floor is never returned by [`TuneCache::get`]; the tuner only uses it to
+/// skip a candidate whose floor already reaches the current cutoff. A report
+/// for the same key supersedes the floor.
 ///
 /// # Persistence semantics
 ///
@@ -60,21 +120,28 @@ static FLUSH_LOCK: Mutex<()> = Mutex::new(());
 /// so readers always see either the old complete file or the new complete
 /// file — an interrupted flush can never truncate the cache. Before
 /// rewriting, `flush` re-reads the on-disk file and merges it with the
-/// in-memory entries (union; the in-memory value wins when both sides hold
-/// the same key), so concurrent tuners sharing one cache file — as CI's
-/// shared `TILELINK_TUNE_CACHE` does across smoke steps — accumulate entries
-/// instead of clobbering each other. Unparseable lines are still skipped on
-/// load, so a cache file damaged by external means only loses the damaged
-/// entries, never the whole cache.
+/// in-memory entries (union; the in-memory report wins when both sides hold
+/// the same key, and the larger of two floors wins), so concurrent tuners
+/// sharing one cache file — as CI's shared `TILELINK_TUNE_CACHE` does across
+/// smoke steps — accumulate entries instead of clobbering each other.
+/// Unparseable lines are still skipped on load, so a cache file damaged by
+/// external means only loses the damaged entries, never the whole cache.
+///
+/// A flush is a no-op unless this handle inserted a report, raised a floor
+/// or swept a key since its last successful flush, so a run answered
+/// entirely from the cache never rewrites the file.
 #[derive(Debug)]
 pub struct TuneCache {
     path: Option<PathBuf>,
-    entries: HashMap<String, OverlapReport>,
+    contents: Contents,
     /// Keys removed by [`TuneCache::sweep_stale`]. The flush merge re-reads
     /// the on-disk file, which would silently resurrect swept entries;
     /// tombstones make the removal stick until the next flush rewrites the
     /// file without them.
     tombstones: HashSet<String>,
+    /// Whether this handle changed anything since its last successful flush.
+    /// Atomic because [`TuneCache::flush`] takes `&self`.
+    dirty: AtomicBool,
 }
 
 impl TuneCache {
@@ -82,62 +149,77 @@ impl TuneCache {
     pub fn in_memory() -> Self {
         Self {
             path: None,
-            entries: HashMap::new(),
+            contents: Contents::default(),
             tombstones: HashSet::new(),
+            dirty: AtomicBool::new(false),
         }
     }
 
     /// Opens (or initialises) a cache backed by `path`.
     ///
     /// A missing file is treated as an empty cache; it is created on the first
-    /// [`TuneCache::flush`].
+    /// [`TuneCache::flush`] that has something to write.
     ///
     /// # Errors
     ///
     /// Returns [`TuneError::CacheIo`] if the file exists but cannot be read.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let entries = Self::read_entries(&path)?;
+        let contents = Self::read_contents(&path)?;
         Ok(Self {
             path: Some(path),
-            entries,
-            tombstones: HashSet::new(),
+            contents,
+            ..Self::in_memory()
         })
     }
 
-    /// Parses the TSV at `path` into a map, treating a missing file as empty
-    /// and skipping unparseable lines. Shared by [`TuneCache::open`] and the
+    /// Parses the TSV at `path`, treating a missing file as empty and
+    /// skipping unparseable lines. Shared by [`TuneCache::open`] and the
     /// merge pass of [`TuneCache::flush`].
-    fn read_entries(path: &Path) -> Result<HashMap<String, OverlapReport>> {
-        let mut entries = HashMap::new();
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                for line in text.lines() {
-                    let mut parts = line.split('\t');
-                    let (Some(key), Some(total), Some(comm), Some(comp)) =
-                        (parts.next(), parts.next(), parts.next(), parts.next())
-                    else {
-                        continue;
-                    };
-                    let (Ok(total), Ok(comm), Ok(comp)) = (
-                        total.parse::<f64>(),
-                        comm.parse::<f64>(),
-                        comp.parse::<f64>(),
-                    ) else {
-                        continue;
-                    };
-                    entries.insert(key.to_string(), OverlapReport::new(total, comm, comp));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+    fn read_contents(path: &Path) -> Result<Contents> {
+        let mut contents = Contents::default();
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(contents),
             Err(e) => {
                 return Err(TuneError::CacheIo {
                     path: path.display().to_string(),
                     message: e.to_string(),
                 })
             }
+        };
+        let mut floor_lines = Vec::new();
+        for line in text.lines() {
+            let mut parts = line.split('\t');
+            let (Some(key), Some(total), Some(comm)) = (parts.next(), parts.next(), parts.next())
+            else {
+                continue;
+            };
+            let Some(comp) = parts.next() else {
+                if total == FLOOR_TAG {
+                    floor_lines.push((key, comm));
+                }
+                continue;
+            };
+            let (Ok(total), Ok(comm), Ok(comp)) = (
+                total.parse::<f64>(),
+                comm.parse::<f64>(),
+                comp.parse::<f64>(),
+            ) else {
+                continue;
+            };
+            contents
+                .reports
+                .insert(key.to_string(), OverlapReport::new(total, comm, comp));
         }
-        Ok(entries)
+        // After the reports, so a report anywhere in the file supersedes a
+        // floor for the same key.
+        for (key, floor) in floor_lines {
+            if let Ok(floor) = floor.parse::<f64>() {
+                contents.raise_floor(key, floor);
+            }
+        }
+        Ok(contents)
     }
 
     /// The default cache location: `$TILELINK_TUNE_CACHE` if set, otherwise
@@ -184,14 +266,14 @@ impl TuneCache {
         self.path.as_deref()
     }
 
-    /// Number of cached entries.
+    /// Number of cached reports (floors are not counted).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.contents.reports.len()
     }
 
-    /// Returns `true` if the cache holds no entries.
+    /// Returns `true` if the cache holds no reports.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.contents.reports.is_empty()
     }
 
     /// The shared `workload|cluster|revision|objective` prefix of every key
@@ -231,29 +313,33 @@ impl TuneCache {
         )
     }
 
-    /// Looks up a cached report.
+    /// Looks up a cached report. Floors are never returned here.
     pub fn get(&self, key: &str) -> Option<OverlapReport> {
-        self.entries.get(key).copied()
+        self.contents.reports.get(key).copied()
     }
 
-    /// Number of entries for the same `workload|cluster` scope that were
-    /// recorded under a *different* cost-model revision or objective than
-    /// `current_prefix` (a full [`TuneCache::key_prefix`]).
+    /// The certified lower bound recorded for `key`, if the candidate was
+    /// disposed of by branch-and-bound and never fully simulated.
+    pub fn floor(&self, key: &str) -> Option<f64> {
+        self.contents.floors.get(key).copied()
+    }
+
+    /// Number of entries — reports and floors — for the same
+    /// `workload|cluster` scope that were recorded under a *different*
+    /// cost-model revision or objective than `current_prefix` (a full
+    /// [`TuneCache::key_prefix`]).
     ///
     /// These entries are not wrong — they self-invalidate by missing — but
     /// every one of them represents an oracle call the current run has to
     /// repeat, which is worth surfacing in the metrics registry.
     pub fn count_stale(&self, scope: &str, current_prefix: &str) -> usize {
-        let current = format!("{current_prefix}|");
-        self.entries
-            .keys()
-            .filter(|k| k.starts_with(scope) && !k.starts_with(&current))
-            .count()
+        self.contents.stale_keys(scope, current_prefix).count()
     }
 
-    /// Removes every entry in `scope` recorded under a different cost-model
-    /// revision or objective than `current_prefix` (the same notion of stale
-    /// as [`TuneCache::count_stale`]) and returns how many were swept.
+    /// Removes every entry — report or floor — in `scope` recorded under a
+    /// different cost-model revision or objective than `current_prefix` (the
+    /// same notion of stale as [`TuneCache::count_stale`]) and returns how
+    /// many were swept.
     ///
     /// Swept keys are tombstoned so the next [`TuneCache::flush`] drops them
     /// from the backing file too instead of resurrecting them through the
@@ -262,35 +348,55 @@ impl TuneCache {
     /// behind forever. One-shot CLI runs that alternate between cost models
     /// should prefer `count_stale`, which keeps both revisions warm.
     pub fn sweep_stale(&mut self, scope: &str, current_prefix: &str) -> usize {
-        let current = format!("{current_prefix}|");
         let stale: Vec<String> = self
-            .entries
-            .keys()
-            .filter(|k| k.starts_with(scope) && !k.starts_with(&current))
+            .contents
+            .stale_keys(scope, current_prefix)
             .cloned()
             .collect();
         for key in &stale {
-            self.entries.remove(key);
-            self.tombstones.insert(key.clone());
+            self.contents.reports.remove(key);
+            self.contents.floors.remove(key);
         }
-        stale.len()
+        if !stale.is_empty() {
+            self.dirty.store(true, Ordering::Relaxed);
+        }
+        let swept = stale.len();
+        self.tombstones.extend(stale);
+        swept
     }
 
-    /// Inserts (or replaces) a cached report. Call [`TuneCache::flush`] to
-    /// persist.
+    /// Inserts (or replaces) a cached report, superseding any floor recorded
+    /// for the same key. Call [`TuneCache::flush`] to persist.
     pub fn insert(&mut self, key: String, report: OverlapReport) {
         self.tombstones.remove(&key);
-        self.entries.insert(key, report);
+        self.contents.floors.remove(&key);
+        self.contents.reports.insert(key, report);
+        self.dirty.store(true, Ordering::Relaxed);
     }
 
-    /// Writes the cache to its backing file (no-op for in-memory caches).
+    /// Records a certified lower bound on the objective value of `key`: the
+    /// clock of a bounded simulation that aborted past the incumbent
+    /// ([`tilelink::exec::BoundedReport::Exceeded`]). Ignored when a report
+    /// for the key is cached or a larger floor is already known, and for
+    /// non-finite values. Call [`TuneCache::flush`] to persist.
+    pub fn record_floor(&mut self, key: String, floor: f64) {
+        if self.contents.raise_floor(&key, floor) {
+            self.tombstones.remove(&key);
+            self.dirty.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Writes the cache to its backing file (no-op for in-memory caches, and
+    /// for a handle with no changes since its last successful flush).
     ///
     /// The rewrite is atomic (temp sibling + `rename`) and merges with the
     /// current on-disk contents first — union of both sides, the in-memory
-    /// value winning on key conflict — so an interrupted flush never
-    /// truncates the file and concurrent writers never clobber each other's
-    /// entries. Entries are written sorted by key so the file is
-    /// deterministic.
+    /// report winning on key conflict, the larger floor winning between two
+    /// floors, and a report from either side superseding a floor — so an
+    /// interrupted flush never truncates the file and concurrent writers
+    /// never clobber each other's entries. Reports are written sorted by
+    /// key, then floors sorted by key, so the file is deterministic. A failed
+    /// flush leaves the handle dirty, so the next one retries.
     ///
     /// # Errors
     ///
@@ -299,6 +405,9 @@ impl TuneCache {
         let Some(path) = &self.path else {
             return Ok(());
         };
+        if !self.dirty.load(Ordering::Relaxed) {
+            return Ok(());
+        }
         let io_err = |e: std::io::Error| TuneError::CacheIo {
             path: path.display().to_string(),
             message: e.to_string(),
@@ -311,29 +420,39 @@ impl TuneCache {
         let _serialize = FLUSH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
         // Merge with whatever is on disk right now: another tuner may have
-        // flushed since this cache was opened. In-memory entries win on
+        // flushed since this cache was opened. In-memory reports win on
         // conflict (they are this run's freshest measurements), and keys
         // swept by `sweep_stale` are dropped from the merge so the rewrite
         // shrinks the file instead of re-reading the stale entries back in.
-        let mut merged = Self::read_entries(path)?;
+        let mut merged = Self::read_contents(path)?;
         for key in &self.tombstones {
-            merged.remove(key);
+            merged.reports.remove(key);
+            merged.floors.remove(key);
         }
-        for (key, report) in &self.entries {
-            merged.insert(key.clone(), *report);
+        for (key, report) in &self.contents.reports {
+            merged.floors.remove(key);
+            merged.reports.insert(key.clone(), *report);
+        }
+        for (key, floor) in &self.contents.floors {
+            merged.raise_floor(key, *floor);
         }
 
-        let mut keys: Vec<&String> = merged.keys().collect();
+        let mut out = Vec::with_capacity((merged.reports.len() + merged.floors.len()) * 64);
+        let mut keys: Vec<&String> = merged.reports.keys().collect();
         keys.sort();
-        let mut out = Vec::with_capacity(merged.len() * 64);
         for key in keys {
-            let r = &merged[key];
+            let r = &merged.reports[key];
             writeln!(
                 out,
                 "{key}\t{:.17e}\t{:.17e}\t{:.17e}",
                 r.total_s, r.comm_only_s, r.comp_only_s
             )
             .map_err(io_err)?;
+        }
+        let mut keys: Vec<&String> = merged.floors.keys().collect();
+        keys.sort();
+        for key in keys {
+            writeln!(out, "{key}\t{FLOOR_TAG}\t{:.17e}", merged.floors[key]).map_err(io_err)?;
         }
 
         // Write the new contents to a temp sibling, then rename it over the
@@ -360,7 +479,9 @@ impl TuneCache {
         if write_result.is_err() {
             let _ = std::fs::remove_file(&tmp_path);
         }
-        write_result.map_err(io_err)
+        write_result.map_err(io_err)?;
+        self.dirty.store(false, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -568,27 +689,45 @@ mod tests {
         let stale_key = TuneCache::key("mlp", "h800x8", "analytic-v1", "mean", &cfg);
         let fresh_key = TuneCache::key("mlp", "h800x8", "analytic-v2", "mean", &cfg);
         let other_scope = TuneCache::key("moe", "h800x8", "analytic-v1", "mean", &cfg);
+        let floor_cfg = OverlapConfig {
+            num_stages: 4,
+            ..cfg
+        };
+        let stale_floor = TuneCache::key("mlp", "h800x8", "analytic-v1", "mean", &floor_cfg);
+        let fresh_floor = TuneCache::key("mlp", "h800x8", "analytic-v2", "mean", &floor_cfg);
         cache.insert(stale_key.clone(), r);
         cache.insert(fresh_key.clone(), r);
         cache.insert(other_scope.clone(), r);
+        cache.record_floor(stale_floor.clone(), 2.0);
+        cache.record_floor(fresh_floor.clone(), 2.0);
         cache.flush().unwrap();
 
         let prefix = TuneCache::key_prefix("mlp", "h800x8", "analytic-v2", "mean");
+        assert_eq!(cache.count_stale("mlp|h800x8|", &prefix), 2);
         let swept = cache.sweep_stale("mlp|h800x8|", &prefix);
-        assert_eq!(swept, 1);
+        assert_eq!(swept, 2, "the stale report and the stale floor");
         assert!(cache.get(&stale_key).is_none());
+        assert!(cache.floor(&stale_floor).is_none());
         assert!(cache.get(&fresh_key).is_some());
+        assert_eq!(cache.floor(&fresh_floor), Some(2.0));
         assert!(cache.get(&other_scope).is_some(), "out of scope, untouched");
 
         // The flush merge re-reads the disk file; without tombstones the
-        // swept entry would ride back in through the merge.
+        // swept entries would ride back in through the merge.
+        let before = std::fs::metadata(&path).unwrap().len();
         cache.flush().unwrap();
         let reloaded = TuneCache::open(&path).unwrap();
         assert!(
             reloaded.get(&stale_key).is_none(),
             "swept entry must be dropped from the backing file too"
         );
+        assert!(
+            reloaded.floor(&stale_floor).is_none(),
+            "swept floor must be dropped from the backing file too"
+        );
+        assert_eq!(reloaded.floor(&fresh_floor), Some(2.0));
         assert_eq!(reloaded.len(), 2);
+        assert!(std::fs::metadata(&path).unwrap().len() < before);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -608,6 +747,157 @@ mod tests {
         cache.flush().unwrap();
         let reloaded = TuneCache::open(&path).unwrap();
         assert_eq!(reloaded.get(&key).unwrap().total_s, 2.0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The report reader as it was before floor lines existed: exactly the
+    /// first four tab-separated columns, the last three parsed as `f64`.
+    fn four_column_keys(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter_map(|line| {
+                let mut parts = line.split('\t');
+                let (Some(key), Some(total), Some(comm), Some(comp)) =
+                    (parts.next(), parts.next(), parts.next(), parts.next())
+                else {
+                    return None;
+                };
+                (total.parse::<f64>().is_ok()
+                    && comm.parse::<f64>().is_ok()
+                    && comp.parse::<f64>().is_ok())
+                .then_some(key)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_four_column_file_opens_unchanged() {
+        let path = tmp("four-column.tsv");
+        let text = "a|k\t1.00000000000000000e0\t5.00000000000000000e-1\t7.50000000000000000e-1\n\
+                    b|k\t2.00000000000000000e0\t1.00000000000000000e0\t1.50000000000000000e0\n";
+        std::fs::write(&path, text).unwrap();
+        let mut cache = TuneCache::open(&path).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.get("a|k"), Some(OverlapReport::new(1.0, 0.5, 0.75)));
+        assert!(cache.floor("a|k").is_none());
+        // Nothing changed, so the flush leaves the file alone.
+        cache.flush().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        // A rewrite keeps every report line byte for byte.
+        cache.record_floor("c|k".into(), 3.0);
+        cache.flush().unwrap();
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert!(rewritten.starts_with(text), "{rewritten}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_four_column_parser_skips_floor_lines() {
+        let path = tmp("floor-lines.tsv");
+        let _ = std::fs::remove_file(&path);
+        let mut cache = TuneCache::open(&path).unwrap();
+        cache.insert("report|k".into(), OverlapReport::new(1.0, 0.5, 0.5));
+        cache.record_floor("floor|k".into(), 2.5e-3);
+        cache.flush().unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("floor|k\tfloor\t"), "{text}");
+        assert_eq!(four_column_keys(&text), ["report|k"]);
+
+        let reloaded = TuneCache::open(&path).unwrap();
+        assert_eq!(reloaded.len(), 1, "floors are not reports");
+        assert!(reloaded.get("floor|k").is_none());
+        assert_eq!(reloaded.floor("floor|k"), Some(2.5e-3));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn floors_ignore_smaller_and_non_finite_values() {
+        let mut cache = TuneCache::in_memory();
+        cache.record_floor("k".into(), 2.0);
+        cache.record_floor("k".into(), 1.0);
+        cache.record_floor("k".into(), f64::INFINITY);
+        cache.record_floor("k".into(), f64::NAN);
+        assert_eq!(cache.floor("k"), Some(2.0));
+        cache.record_floor("k".into(), 3.0);
+        assert_eq!(cache.floor("k"), Some(3.0));
+        cache.record_floor("inf".into(), f64::INFINITY);
+        assert!(cache.floor("inf").is_none());
+    }
+
+    #[test]
+    fn a_report_supersedes_a_floor() {
+        let mut cache = TuneCache::in_memory();
+        cache.record_floor("k".into(), 2.0);
+        cache.insert("k".into(), OverlapReport::new(3.0, 1.0, 2.0));
+        assert!(cache.floor("k").is_none());
+        cache.record_floor("k".into(), 4.0);
+        assert!(cache.floor("k").is_none(), "a floor never shadows a report");
+        assert_eq!(cache.get("k").unwrap().total_s, 3.0);
+
+        // On disk: a report line wins over a floor line for the same key,
+        // wherever the two sit in the file.
+        let path = tmp("supersede.tsv");
+        std::fs::write(&path, "k\tfloor\t2.0\nk\t3.0\t1.0\t2.0\nonly\tfloor\t5.0\n").unwrap();
+        let opened = TuneCache::open(&path).unwrap();
+        assert!(opened.floor("k").is_none());
+        assert_eq!(opened.get("k").unwrap().total_s, 3.0);
+        assert_eq!(opened.floor("only"), Some(5.0));
+
+        // Across writers: a report flushed by one supersedes the other's
+        // floor in the merge.
+        let _ = std::fs::remove_file(&path);
+        let mut a = TuneCache::open(&path).unwrap();
+        let mut b = TuneCache::open(&path).unwrap();
+        b.insert("k".into(), OverlapReport::new(3.0, 1.0, 2.0));
+        b.flush().unwrap();
+        a.record_floor("k".into(), 2.0);
+        a.flush().unwrap();
+        let merged = TuneCache::open(&path).unwrap();
+        assert!(merged.floor("k").is_none());
+        assert_eq!(merged.get("k").unwrap().total_s, 3.0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_writers_keep_the_larger_floor() {
+        let path = tmp("two-floors.tsv");
+        let _ = std::fs::remove_file(&path);
+        let mut a = TuneCache::open(&path).unwrap();
+        let mut b = TuneCache::open(&path).unwrap();
+        a.record_floor("hi".into(), 2.0);
+        a.record_floor("lo".into(), 1.0);
+        a.flush().unwrap();
+        b.record_floor("hi".into(), 1.5);
+        b.record_floor("lo".into(), 1.25);
+        b.flush().unwrap();
+        let merged = TuneCache::open(&path).unwrap();
+        assert_eq!(merged.floor("hi"), Some(2.0), "disk floor was larger");
+        assert_eq!(merged.floor("lo"), Some(1.25), "in-memory floor was larger");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn clean_flushes_do_nothing_and_failed_flushes_retry() {
+        let path = tmp("clean-flush.tsv");
+        let _ = std::fs::remove_file(&path);
+        let mut cache = TuneCache::open(&path).unwrap();
+        cache.insert("k".into(), OverlapReport::new(1.0, 0.5, 0.5));
+        cache.flush().unwrap();
+        // Clean: removing the file proves the second flush never writes.
+        std::fs::remove_file(&path).unwrap();
+        cache.flush().unwrap();
+        assert!(!path.exists(), "a clean flush must not rewrite the file");
+
+        // A directory in the file's place makes the flush fail; the handle
+        // stays dirty, so the next flush writes once the path is usable.
+        cache.record_floor("f".into(), 2.0);
+        std::fs::create_dir(&path).unwrap();
+        assert!(cache.flush().is_err());
+        std::fs::remove_dir(&path).unwrap();
+        cache.flush().unwrap();
+        let reloaded = TuneCache::open(&path).unwrap();
+        assert_eq!(reloaded.floor("f"), Some(2.0));
+        assert!(reloaded.get("k").is_some());
         let _ = std::fs::remove_file(&path);
     }
 

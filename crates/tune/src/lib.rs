@@ -25,7 +25,9 @@
 //!   stale for a fixed cost model — and because the provider's
 //!   [`tilelink_sim::CostProvider::revision`] fingerprint is part of the key,
 //!   entries evaluated under an older cost model self-invalidate instead of
-//!   serving wrong timings.
+//!   serving wrong timings. It also keeps the certified floor of every
+//!   candidate branch-and-bound aborted, so a warm re-tune disposes of those
+//!   without compiling or simulating them again.
 //!
 //! Candidate evaluation is embarrassingly parallel (the simulator is pure),
 //! so the tuner fans evaluations out over the worker threads of a

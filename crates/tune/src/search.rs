@@ -12,8 +12,8 @@ use tilelink::{OverlapConfig, OverlapReport, TileLinkError};
 use tilelink_probe::metrics::{
     TUNE_CACHE_HITS, TUNE_CACHE_MISSES, TUNE_CACHE_REVISION_INVALIDATIONS, TUNE_CANDIDATES_CACHED,
     TUNE_CANDIDATES_FAILED_SIM, TUNE_CANDIDATES_PRUNED_BOUND, TUNE_CANDIDATES_PRUNED_CONSTRAINT,
-    TUNE_CANDIDATES_PRUNED_VALIDATE, TUNE_CANDIDATES_SIMULATED, TUNE_COMPILE_FULL_REBUILDS,
-    TUNE_COMPILE_PATCHED, TUNE_EVAL_US, TUNE_SPACE_SIZE,
+    TUNE_CANDIDATES_PRUNED_FLOOR, TUNE_CANDIDATES_PRUNED_VALIDATE, TUNE_CANDIDATES_SIMULATED,
+    TUNE_COMPILE_FULL_REBUILDS, TUNE_COMPILE_PATCHED, TUNE_EVAL_US, TUNE_SPACE_SIZE,
 };
 
 use crate::executor::SearchExecutor;
@@ -79,8 +79,9 @@ pub struct Candidate {
 /// never ranked: `validate_rejected` and `constraint_pruned` never reached the
 /// oracle (free, counted during enumeration — see
 /// [`SearchSpace::candidates_counted`]), `bound_pruned` candidates were
-/// disposed of by branch-and-bound (an admissible lower bound at or above the
-/// incumbent, or a bounded simulation that aborted past it), and
+/// disposed of by branch-and-bound (an admissible lower bound or a cached
+/// floor at or above the incumbent, or a bounded simulation that aborted past
+/// it), and
 /// `simulation_error` candidates cost a full compile or simulation attempt
 /// before failing.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -91,9 +92,10 @@ pub struct FailedBreakdown {
     /// [`CostOracle::is_supported`] predicate.
     pub constraint_pruned: usize,
     /// Disposed of by branch-and-bound: skipped outright because the
-    /// admissible lower bound reached the incumbent, or abort-shortened by
-    /// the incumbent-bounded simulation. These candidates provably cannot
-    /// win, so dropping them never changes the ranking's top.
+    /// admissible lower bound or a floor from the tune cache reached the
+    /// incumbent, or abort-shortened by the incumbent-bounded simulation.
+    /// These candidates provably cannot win, so dropping them never changes
+    /// the ranking's top.
     pub bound_pruned: usize,
     /// Reached the oracle but errored while compiling or simulating.
     pub simulation_error: usize,
@@ -151,6 +153,10 @@ pub struct TuneReport {
     /// outright on their lower bound; see [`TuneReport::pruned_bound`] for
     /// the complementary count.
     pub bounded_aborts: usize,
+    /// How many of [`TuneReport::pruned_bound`] were skipped because a floor
+    /// recorded in the tune cache by an earlier run's abort reached the
+    /// incumbent (rather than the oracle's lower bound).
+    pub floor_pruned: usize,
     /// Per-round progress of a beam search (empty for [`Strategy::Exhaustive`]).
     pub rounds: Vec<RoundProgress>,
     /// Candidate compiles served by patching a cached lowered program during
@@ -169,8 +175,9 @@ impl TuneReport {
     }
 
     /// Candidates skipped without compiling or simulating because their
-    /// admissible lower bound already met the incumbent (the remainder of
-    /// [`FailedBreakdown::bound_pruned`] after [`TuneReport::bounded_aborts`]).
+    /// admissible lower bound or cached floor already met the incumbent (the
+    /// remainder of [`FailedBreakdown::bound_pruned`] after
+    /// [`TuneReport::bounded_aborts`]; includes [`TuneReport::floor_pruned`]).
     pub fn pruned_bound(&self) -> usize {
         self.failed.bound_pruned - self.bounded_aborts
     }
@@ -236,6 +243,8 @@ struct BatchStats {
     failed: usize,
     /// Candidates skipped on their admissible lower bound (no oracle call).
     bound_pruned: usize,
+    /// Candidates skipped on a floor from the tune cache (no oracle call).
+    floor_pruned: usize,
     /// Oracle evaluations that abort-shortened past the incumbent cutoff.
     bounded_aborts: usize,
     last_error: Option<TileLinkError>,
@@ -338,7 +347,12 @@ impl Tuner {
     ///
     /// Pruning is admissible — winners are bit-identical either way — so the
     /// switch exists for A/B measurement and for the admissibility test
-    /// suite, not correctness.
+    /// suite, not correctness. With pruning on, each bounded simulation that
+    /// aborts past the incumbent records its certified floor in the tune
+    /// cache, and a later run skips a cache miss whose floor (or lower bound)
+    /// already reaches that run's cutoff; a floor below the cutoff falls
+    /// through to bounded simulation. With pruning off, floors are ignored
+    /// and none are recorded.
     pub fn with_pruning(mut self, pruning: bool) -> Self {
         self.pruning = pruning;
         self
@@ -435,6 +449,7 @@ impl Tuner {
             cache_hits: 0,
             failed: 0,
             bound_pruned: 0,
+            floor_pruned: 0,
             bounded_aborts: 0,
             last_error: None,
         };
@@ -604,13 +619,14 @@ impl Tuner {
                             .saturating_sub(rebuilds_start);
                         let compiles = (patched + rebuilds).max(1);
                         eprintln!(
-                    "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
+                    "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} floor-pruned, {} aborted, {:.0}% patched compiles",
                     progress.round,
                     progress.best_total_s * 1e3,
                     progress.evaluations,
                     progress.cache_hits,
                     stats.failed,
                     stats.bound_pruned,
+                    stats.floor_pruned,
                     stats.bounded_aborts,
                     patched as f64 / compiles as f64 * 100.0
                 );
@@ -653,10 +669,11 @@ impl Tuner {
             failed: FailedBreakdown {
                 validate_rejected: pruned.validate_rejected,
                 constraint_pruned: pruned.constraint_pruned,
-                bound_pruned: stats.bound_pruned + stats.bounded_aborts,
+                bound_pruned: stats.bound_pruned + stats.floor_pruned + stats.bounded_aborts,
                 simulation_error: stats.failed,
             },
             bounded_aborts: stats.bounded_aborts,
+            floor_pruned: stats.floor_pruned,
             rounds,
             compile_patched: TUNE_COMPILE_PATCHED.get().saturating_sub(patched_start),
             compile_full_rebuilds: TUNE_COMPILE_FULL_REBUILDS
@@ -732,8 +749,9 @@ impl Tuner {
         // Cache pass (also dedups configs revisited across beam sweeps, and
         // configs branch-and-bound already disposed of). Cached totals fold
         // into the incumbent right away so they sharpen this very chunk's
-        // lower-bound pruning.
+        // lower-bound pruning; a miss carries its cached floor, if any.
         let mut misses: Vec<&OverlapConfig> = Vec::new();
+        let mut floors: Vec<Option<f64>> = Vec::new();
         let mut hit_or_miss: Vec<Option<OverlapReport>> = Vec::with_capacity(configs.len());
         {
             let _span = tilelink_probe::span("tune.cache_lookup");
@@ -754,27 +772,36 @@ impl Tuner {
                     None => {
                         TUNE_CACHE_MISSES.inc();
                         misses.push(cfg);
+                        floors.push(cache.floor(&key));
                         hit_or_miss.push(None);
                     }
                 }
             }
         }
 
-        // Bound pass: skip misses whose admissible lower bound already
-        // reaches the incumbent — they provably cannot enter the top of the
-        // ranking (on a tie the earlier incumbent wins the stable sort), so
-        // neither compile nor simulation is owed. The cutoff is frozen for
-        // the rest of this chunk.
+        // Bound pass: skip misses whose admissible lower bound, or floor
+        // certified by an earlier run's bounded abort, already reaches the
+        // incumbent — they provably cannot enter the top of the ranking (on a
+        // tie the earlier incumbent wins the stable sort), so neither compile
+        // nor simulation is owed. A floor below the cutoff proves nothing
+        // here and the miss goes on to bounded simulation. The cutoff is
+        // frozen for the rest of this chunk.
         let cutoff = incumbent.cutoff();
         if incumbent.enabled && cutoff.is_finite() {
-            misses.retain(|cfg| match oracle.lower_bound(cfg) {
-                Some(lb) if lb >= cutoff => {
+            let mut floors = floors.into_iter();
+            misses.retain(|cfg| {
+                let floor = floors.next().flatten();
+                if oracle.lower_bound(cfg).is_some_and(|lb| lb >= cutoff) {
                     stats.bound_pruned += 1;
                     TUNE_CANDIDATES_PRUNED_BOUND.inc();
-                    dominated.insert(**cfg);
-                    false
+                } else if floor.is_some_and(|floor| floor >= cutoff) {
+                    stats.floor_pruned += 1;
+                    TUNE_CANDIDATES_PRUNED_FLOOR.inc();
+                } else {
+                    return true;
                 }
-                _ => true,
+                dominated.insert(**cfg);
+                false
             });
         }
 
@@ -817,12 +844,14 @@ impl Tuner {
                             cache.insert(key, report);
                             (report, false)
                         }
-                        Ok(BoundedReport::Exceeded(_)) => {
+                        Ok(BoundedReport::Exceeded(floor)) => {
                             // The objective value provably exceeds the
-                            // incumbent: not ranked, not cached (the exact
-                            // value is unknown), never re-dispatched.
+                            // incumbent: not ranked, never re-dispatched. The
+                            // exact value is unknown, so only its certified
+                            // floor is cached, for later runs' bound pass.
                             stats.bounded_aborts += 1;
                             dominated.insert(*cfg);
+                            cache.record_floor(TuneCache::key_in(prefix, cfg), floor);
                             continue;
                         }
                         Err(e) => {
@@ -1286,6 +1315,55 @@ mod tests {
         assert_eq!(second.cache_hits, first.ranked.len());
         assert_eq!(second.best.config, first.best.config);
         assert!(second.best.from_cache);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cached_floors_make_a_warm_retune_free_and_are_ignored_without_pruning() {
+        let dir = std::env::temp_dir().join(format!("tilelink-tune-floor-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.tsv");
+        let _ = std::fs::remove_file(&path);
+        let space = space();
+        let oracle = AbortingOracle {
+            cluster: ClusterSpec::h800_node(8),
+            aborts: AtomicUsize::new(0),
+        };
+        let run = |pruning: bool| {
+            Tuner::new(Strategy::Exhaustive)
+                .with_pruning(pruning)
+                .with_cache(TuneCache::open(&path).unwrap())
+                .tune(&oracle, &space)
+                .unwrap()
+        };
+
+        let cold = run(true);
+        assert!(cold.bounded_aborts > 0);
+        assert_eq!(cold.floor_pruned, 0, "a fresh cache holds no floor");
+        let aborts = oracle.aborts.load(Ordering::SeqCst);
+        let warm = run(true);
+        // Every aborted candidate is disposed of by its cached floor: no
+        // oracle call at all, and the same ranking and attribution.
+        assert_eq!(oracle.aborts.load(Ordering::SeqCst), aborts);
+        assert_eq!(warm.evaluations, 0);
+        assert_eq!(warm.bounded_aborts, 0);
+        assert_eq!(warm.floor_pruned, cold.bounded_aborts);
+        assert_eq!(warm.pruned_bound(), cold.bounded_aborts);
+        assert_eq!(warm.failed, cold.failed);
+        let configs =
+            |r: &TuneReport| -> Vec<OverlapConfig> { r.ranked.iter().map(|c| c.config).collect() };
+        assert_eq!(configs(&warm), configs(&cold));
+        assert_eq!(
+            warm.ranked.len() + warm.failed.total(),
+            space.len_unpruned()
+        );
+
+        // Without pruning the floors are ignored: every candidate is ranked.
+        let unbounded = run(false);
+        assert_eq!(unbounded.failed.bound_pruned, 0);
+        assert_eq!(unbounded.floor_pruned, 0);
+        assert_eq!(unbounded.evaluations, cold.bounded_aborts);
+        assert_eq!(unbounded.best.config, warm.best.config);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -7,7 +7,9 @@
 //! crash-injection hook so the child aborts in the middle of a flush, and the
 //! parent then proves the original file survived intact. Before the atomic
 //! tmp+rename fix the flush wrote straight into the destination and these
-//! tests observed a truncated — often empty — cache.
+//! tests observed a truncated — often empty — cache. The seeded files hold
+//! branch-and-bound floor lines as well as reports, so the floors must
+//! survive an interrupted flush too.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -38,8 +40,8 @@ fn run_child(child_test: &str, cache_path: &std::path::Path, abort_point: Option
     cmd.status().unwrap().success()
 }
 
-/// Child body: open the cache, insert a batch of entries, flush. With the
-/// abort hook armed the flush never returns.
+/// Child body: open the cache, insert a batch of entries and floors, flush.
+/// With the abort hook armed the flush never returns.
 #[test]
 fn child_insert_and_flush() {
     let Some(path) = std::env::var_os(CHILD_PATH_ENV) else {
@@ -51,6 +53,7 @@ fn child_insert_and_flush() {
             format!("child-key-{i:03}"),
             OverlapReport::new(2.0 + i as f64, 1.0, 1.5),
         );
+        cache.record_floor(format!("child-floor-{i:03}"), 4.0 + i as f64);
     }
     cache.flush().unwrap();
 }
@@ -63,6 +66,7 @@ fn seed_cache(path: &std::path::Path, n: usize) -> TuneCache {
             format!("seed-key-{i:03}"),
             OverlapReport::new(1.0 + i as f64, 0.5, 0.75),
         );
+        cache.record_floor(format!("seed-floor-{i:03}"), 3.0 + i as f64);
     }
     cache.flush().unwrap();
     cache
@@ -75,7 +79,16 @@ fn assert_seed_intact(path: &std::path::Path, n: usize) {
             reloaded.get(&format!("seed-key-{i:03}")).is_some(),
             "seed entry {i} lost after interrupted flush"
         );
+        assert_eq!(
+            reloaded.floor(&format!("seed-floor-{i:03}")),
+            Some(3.0 + i as f64),
+            "seed floor {i} lost after interrupted flush"
+        );
     }
+    assert!(
+        reloaded.get("child-key-000").is_none() && reloaded.floor("child-floor-000").is_none(),
+        "the interrupted flush must not have landed"
+    );
 }
 
 #[test]
@@ -131,6 +144,11 @@ fn concurrent_tuner_process_entries_survive_parent_flush() {
         assert!(
             merged.get(&format!("child-key-{i:03}")).is_some(),
             "entry {i} written by the concurrent tuner process was clobbered"
+        );
+        assert_eq!(
+            merged.floor(&format!("child-floor-{i:03}")),
+            Some(4.0 + i as f64),
+            "floor {i} written by the concurrent tuner process was clobbered"
         );
     }
     let _ = std::fs::remove_file(&path);

@@ -199,7 +199,8 @@ pub fn compare_model_with(
 /// [`OverlapConfig`] the `tilelink-tune` search found per layer kind instead
 /// of the hand-picked defaults of [`tilelink_model_timing_with`]. The
 /// counters aggregate over both layer searches, so a rerun against a warm
-/// persistent [`tilelink_tune::TuneCache`] reports zero `evaluations`.
+/// persistent [`tilelink_tune::TuneCache`] reports zero `evaluations` and
+/// zero `bounded_aborts`.
 #[derive(Debug, Clone)]
 pub struct TunedModelTiming {
     /// Per-model timing under the tuned configurations.
@@ -210,6 +211,9 @@ pub struct TunedModelTiming {
     pub moe_config: Option<OverlapConfig>,
     /// Simulator evaluations performed across the layer searches.
     pub evaluations: usize,
+    /// Bounded simulations that aborted past the incumbent across the layer
+    /// searches.
+    pub bounded_aborts: usize,
     /// Lookups served by the tuning cache instead of the simulator.
     pub cache_hits: usize,
 }
@@ -239,6 +243,7 @@ pub fn tuned_model_timing_with(
     let attn = attention_part_seconds(model, tokens, &**cost, true);
     let mut ffn = 0.0;
     let mut evaluations = 0;
+    let mut bounded_aborts = 0;
     let mut cache_hits = 0;
     let mut mlp_config = None;
     let mut moe_config = None;
@@ -246,6 +251,7 @@ pub fn tuned_model_timing_with(
         let tuned = autotune::tuned_full_mlp(&mlp_shape_of(model, tokens), &cluster, &opts)?;
         ffn += tuned.layer.total_s;
         evaluations += tuned.search.evaluations;
+        bounded_aborts += tuned.search.bounded_aborts;
         cache_hits += tuned.search.cache_hits;
         mlp_config = Some(tuned.config);
     }
@@ -253,6 +259,7 @@ pub fn tuned_model_timing_with(
         let tuned = autotune::tuned_full_moe(&moe, &cluster, &opts)?;
         ffn += tuned.layer.total_s;
         evaluations += tuned.search.evaluations;
+        bounded_aborts += tuned.search.bounded_aborts;
         cache_hits += tuned.search.cache_hits;
         moe_config = Some(tuned.config);
     }
@@ -266,6 +273,7 @@ pub fn tuned_model_timing_with(
         mlp_config,
         moe_config,
         evaluations,
+        bounded_aborts,
         cache_hits,
     })
 }
@@ -451,6 +459,7 @@ mod tests {
 
         let warm = tuned_model_timing_with(model, tokens, &cost, &opts).unwrap();
         assert_eq!(warm.evaluations, 0, "warm rerun must not simulate");
+        assert_eq!(warm.bounded_aborts, 0, "warm rerun must not simulate");
         assert!(warm.cache_hits > 0);
         assert_eq!(warm.timing, cold.timing);
         assert_eq!(warm.mlp_config, cold.mlp_config);

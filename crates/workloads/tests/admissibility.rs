@@ -14,17 +14,34 @@
 //!   objective value) for every candidate in the space;
 //! * infinite-cutoff parity: `evaluate_bounded(cfg, ∞)` is bit-identical to a
 //!   reference report built here from the unbounded per-kernel functions, so
-//!   an oracle is never checked against itself.
+//!   an oracle is never checked against itself;
+//! * warm re-tunes: the floors a bounded search certifies and caches let a
+//!   re-tune from the same cache file rank bit-identically without a single
+//!   simulation, and floors cached under a tight cutoff never change the
+//!   winner of a looser search that reads them.
+//!
+//! Every test holds [`serial`], so the process-wide simulation counter a
+//! warm re-tune is checked against only moves for that re-tune.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use tilelink::exec::BoundedReport;
 use tilelink::{CommMapping, OverlapConfig, OverlapReport, TileShape};
+use tilelink_probe::metrics::SIM_MAKESPAN_RUNS;
 use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec, SharedCost};
-use tilelink_tune::{CostOracle, Objective, SearchSpace, Strategy, Tuner, RING_REQUIRES_PUSH};
+use tilelink_tune::{
+    CostOracle, Objective, SearchSpace, Strategy, TuneCache, TuneReport, Tuner, RING_REQUIRES_PUSH,
+};
 use tilelink_workloads::autotune::{AttentionOracle, MlpOracle, MoeOracle};
 use tilelink_workloads::{attention, mlp, moe, MlpShape, RoutingProfile, RoutingSpec};
+
+/// Serialises the tests of this file (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Tiny deterministic xorshift so the sub-spaces are seeded and reproducible.
 struct Rng(u64);
@@ -180,6 +197,7 @@ fn providers(cluster: &ClusterSpec) -> [(&'static str, SharedCost); 2] {
 
 #[test]
 fn mlp_pruning_is_admissible_across_random_subspaces_and_cost_models() {
+    let _serial = serial();
     let shape = tilelink_workloads::shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
     let mut rng = Rng(0x1517_5d00_d1ce_d001);
@@ -205,6 +223,7 @@ fn mlp_pruning_is_admissible_across_random_subspaces_and_cost_models() {
 
 #[test]
 fn routed_moe_pruning_is_admissible_for_tail_objectives() {
+    let _serial = serial();
     let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
     let space = SearchSpace::new()
@@ -244,6 +263,7 @@ fn routed_moe_pruning_is_admissible_for_tail_objectives() {
 
 #[test]
 fn beam_search_winners_survive_pruning_bit_for_bit() {
+    let _serial = serial();
     let shape = tilelink_workloads::shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
     let mut rng = Rng(0xbeef_cafe_f00d_0005);
@@ -263,6 +283,7 @@ fn beam_search_winners_survive_pruning_bit_for_bit() {
 
 #[test]
 fn attention_bounded_simulation_is_admissible_under_both_cost_models() {
+    let _serial = serial();
     let shape = tilelink_workloads::shapes::attn_shapes()[0].clone();
     let seq_len = shape.seq_lens[0];
     let cluster = ClusterSpec::h800_node(8);
@@ -292,4 +313,235 @@ fn attention_bounded_simulation_is_admissible_under_both_cost_models() {
     }
     // Without a lower bound every disposal is a bounded-simulation abort.
     assert!(aborted_total > 0, "attention never aborted a simulation");
+}
+
+/// A fresh cache file for one test case.
+fn cache_file(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tilelink-admissibility-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{name}.tsv"));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+fn tune_with_cache<O: CostOracle>(
+    oracle: &O,
+    space: &SearchSpace,
+    strategy: Strategy,
+    cache: &std::path::Path,
+    pruning: bool,
+) -> TuneReport {
+    Tuner::new(strategy)
+        .with_pruning(pruning)
+        .with_cache(TuneCache::open(cache).expect("cache opens"))
+        .tune(oracle, space)
+        .expect("search succeeds")
+}
+
+/// The ranking as (config, objective-value bits) pairs; `from_cache`
+/// legitimately differs between a cold and a warm run.
+fn ranking(report: &TuneReport) -> Vec<(OverlapConfig, [u64; 3])> {
+    report
+        .ranked
+        .iter()
+        .map(|c| {
+            let r = c.report;
+            (
+                c.config,
+                [
+                    r.total_s.to_bits(),
+                    r.comm_only_s.to_bits(),
+                    r.comp_only_s.to_bits(),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// Cold-tunes `oracle` into a fresh cache file, re-tunes from it, and checks
+/// that the warm run ranks bit-identically without simulating, that its
+/// winner is the unbounded search's, and that an unbounded re-tune from the
+/// same file ignores the floors. Returns the warm run's floor prunes.
+fn assert_warm_retune_is_free<O: CostOracle>(
+    name: &str,
+    oracle: &O,
+    space: &SearchSpace,
+    strategy: Strategy,
+) -> usize {
+    let path = cache_file(name);
+    let cold = tune_with_cache(oracle, space, strategy, &path, true);
+    let runs = SIM_MAKESPAN_RUNS.get();
+    let warm = tune_with_cache(oracle, space, strategy, &path, true);
+    assert_eq!(
+        SIM_MAKESPAN_RUNS.get(),
+        runs,
+        "{name}: the warm re-tune simulated"
+    );
+    assert_eq!(warm.evaluations, 0, "{name}");
+    assert_eq!(warm.bounded_aborts, 0, "{name}");
+    assert_eq!(
+        ranking(&warm),
+        ranking(&cold),
+        "{name}: warm ranking differs"
+    );
+    assert_eq!(warm.failed, cold.failed, "{name}: disposals differ");
+    assert_eq!(warm.rounds.len(), cold.rounds.len(), "{name}");
+
+    let unbounded = Tuner::new(strategy)
+        .with_pruning(false)
+        .tune(oracle, space)
+        .expect("unbounded search succeeds");
+    assert_eq!(ranking(&warm)[0], ranking(&unbounded)[0], "{name}: winner");
+    // Floors only ever prune: without pruning they are ignored, and the
+    // cached reports are bit-identical to fresh simulations.
+    let warm_unbounded = tune_with_cache(oracle, space, strategy, &path, false);
+    assert_eq!(warm_unbounded.failed.bound_pruned, 0, "{name}");
+    assert_eq!(
+        ranking(&warm_unbounded),
+        ranking(&unbounded),
+        "{name}: unbounded re-tune from a floor-bearing cache"
+    );
+    let _ = std::fs::remove_file(&path);
+    eprintln!(
+        "{name}: cold {} sims, {} aborted; warm {} floor-pruned",
+        cold.evaluations, cold.bounded_aborts, warm.floor_pruned
+    );
+    warm.floor_pruned
+}
+
+const BEAM2: Strategy = Strategy::Beam {
+    width: 2,
+    sweeps: 2,
+};
+
+#[test]
+fn warm_mlp_and_moe_retunes_rank_bit_identically_without_simulating() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let mlp = tilelink_workloads::shapes::mlp_shapes()[0].clone();
+    let moe = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let mut rng = Rng(0x0f10_0e5f_a11e_d000);
+    let space = random_space(&mut rng);
+    let mut floor_pruned = 0;
+    for (cost_name, cost) in providers(&cluster) {
+        for strategy in [Strategy::Exhaustive, BEAM2] {
+            let tag = format!("{cost_name}-{strategy:?}");
+            let oracle = MlpOracle::new(mlp.clone(), cluster.clone()).with_cost(cost.clone());
+            floor_pruned +=
+                assert_warm_retune_is_free(&format!("mlp-{tag}"), &oracle, &space, strategy);
+            let oracle = MoeOracle::new(moe.clone(), cluster.clone()).with_cost(cost.clone());
+            floor_pruned +=
+                assert_warm_retune_is_free(&format!("moe-{tag}"), &oracle, &space, strategy);
+        }
+    }
+    assert!(floor_pruned > 0, "no warm candidate was ever floor-pruned");
+}
+
+#[test]
+fn warm_routed_moe_retunes_are_free_under_mean_p95_and_worst() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let space = SearchSpace::new()
+        .with_comm_tiles([TileShape::new(128, 128)])
+        .with_compute_tiles([TileShape::new(128, 128), TileShape::new(256, 256)])
+        .with_mappings([
+            CommMapping::CopyEngine,
+            CommMapping::Sm { sms: 20 },
+            CommMapping::Hybrid { sms: 16 },
+        ])
+        .with_stages([2, 3])
+        .with_constraint(RING_REQUIRES_PUSH);
+    let spec = RoutingSpec {
+        samples: 3,
+        ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
+    };
+    let mut floor_pruned = 0;
+    for (cost_name, cost) in providers(&cluster) {
+        for objective in [
+            Objective::Mean,
+            Objective::Percentile(95),
+            Objective::WorstCase,
+        ] {
+            let oracle = MoeOracle::new(shape.clone(), cluster.clone())
+                .with_cost(cost.clone())
+                .with_routing(spec)
+                .with_objective(objective);
+            floor_pruned += assert_warm_retune_is_free(
+                &format!("routed-{cost_name}-{}", objective.key()),
+                &oracle,
+                &space,
+                Strategy::Exhaustive,
+            );
+        }
+    }
+    assert!(
+        floor_pruned > 0,
+        "no warm routed candidate was ever floor-pruned"
+    );
+}
+
+#[test]
+fn floors_from_a_narrow_beam_never_change_a_wider_search_winner() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let mlp = tilelink_workloads::shapes::mlp_shapes()[0].clone();
+    let moe = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let mut rng = Rng(0x0f10_0e5f_a11e_d000);
+    let space = random_space(&mut rng);
+    let beam4 = Strategy::Beam {
+        width: 4,
+        sweeps: 2,
+    };
+    let mut floor_pruned = 0;
+    for (cost_name, cost) in providers(&cluster) {
+        let oracles: [(&str, Box<dyn CostOracle>); 2] = [
+            (
+                "mlp",
+                Box::new(MlpOracle::new(mlp.clone(), cluster.clone()).with_cost(cost.clone())),
+            ),
+            (
+                "moe",
+                Box::new(MoeOracle::new(moe.clone(), cluster.clone()).with_cost(cost.clone())),
+            ),
+        ];
+        for (name, oracle) in &oracles {
+            let narrow = cache_file(&format!("narrow-{name}-{cost_name}"));
+            let written = Tuner::new(BEAM2)
+                .with_cache(TuneCache::open(&narrow).unwrap())
+                .tune(&**oracle, &space)
+                .unwrap();
+            assert!(
+                written.bounded_aborts > 0,
+                "{name}: the narrow beam wrote no floor"
+            );
+            for strategy in [beam4, Strategy::Exhaustive] {
+                // Each reader gets its own copy of the narrow beam's file.
+                let copy = cache_file(&format!("reader-{name}-{cost_name}"));
+                std::fs::copy(&narrow, &copy).unwrap();
+                let reader = Tuner::new(strategy)
+                    .with_cache(TuneCache::open(&copy).unwrap())
+                    .tune(&**oracle, &space)
+                    .unwrap();
+                let uncached = Tuner::new(strategy).tune(&**oracle, &space).unwrap();
+                assert_eq!(
+                    reader.best.config, uncached.best.config,
+                    "{name}/{cost_name}/{strategy:?}: floors changed the winner"
+                );
+                assert_eq!(
+                    reader.best.report.total_s.to_bits(),
+                    uncached.best.report.total_s.to_bits(),
+                    "{name}/{cost_name}/{strategy:?}"
+                );
+                eprintln!(
+                    "{name}/{cost_name}/{strategy:?}: {} floor-pruned",
+                    reader.floor_pruned
+                );
+                floor_pruned += reader.floor_pruned;
+                let _ = std::fs::remove_file(&copy);
+            }
+            let _ = std::fs::remove_file(&narrow);
+        }
+    }
+    assert!(floor_pruned > 0, "no reader ever used a narrow-beam floor");
 }

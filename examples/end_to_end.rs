@@ -45,10 +45,11 @@ fn main() {
         if tune {
             let tuned = e2e::tuned_model_timing_with(model, tokens, &cost, &opts).expect("tuning");
             print!(
-                " | tuned {:>8.1} ms, speedup {:.2}x ({} sims, {} cached)",
+                " | tuned {:>8.1} ms, speedup {:.2}x ({} sims, {} aborted, {} cached)",
                 tuned.timing.total_s * 1e3,
                 cmp.torch.total_s / tuned.timing.total_s,
                 tuned.evaluations,
+                tuned.bounded_aborts,
                 tuned.cache_hits,
             );
         }
