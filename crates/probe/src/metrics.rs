@@ -220,6 +220,10 @@ pub static TUNE_CANDIDATES_PRUNED_BOUND: Counter = Counter::new("tune.candidates
 /// recorded in the tune cache by an earlier run's bounded abort already met
 /// or exceeded the incumbent best.
 pub static TUNE_CANDIDATES_PRUNED_FLOOR: Counter = Counter::new("tune.candidates.pruned_floor");
+/// Full reports priced after a search for its winner (the comm-only and
+/// compute-only split the search itself never prices); zero when the
+/// winner's report was already cached.
+pub static TUNE_WINNER_REPORTS: Counter = Counter::new("tune.winner.reports");
 /// Bounded fast-path simulations that aborted early because the simulated
 /// clock provably exceeded the incumbent cutoff.
 pub static SIM_MAKESPAN_BOUNDED_ABORTS: Counter = Counter::new("sim.makespan_bounded_aborts");
@@ -289,6 +293,7 @@ static COUNTERS: &[&Counter] = &[
     &TUNE_CANDIDATES_FAILED_SIM,
     &TUNE_CANDIDATES_PRUNED_BOUND,
     &TUNE_CANDIDATES_PRUNED_FLOOR,
+    &TUNE_WINNER_REPORTS,
     &SIM_MAKESPAN_BOUNDED_ABORTS,
     &TUNE_COMPILE_PATCHED,
     &TUNE_COMPILE_FULL_REBUILDS,

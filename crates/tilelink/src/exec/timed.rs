@@ -30,8 +30,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use tilelink_sim::{
-    ClusterSpec, Engine, GpuSpec, ResourceKind, SharedCost, TaskGraph, TaskId, TaskLabel, Trace,
-    Work,
+    BoundedMakespan, ClusterSpec, Engine, GpuSpec, ResourceKind, SharedCost, TaskGraph, TaskId,
+    TaskLabel, Trace, Work,
 };
 
 use crate::compile::CompiledKernel;
@@ -741,92 +741,61 @@ pub fn simulate_with(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(Over
 }
 
 /// Report-only simulation: the three makespans [`OverlapReport`] needs,
-/// without constructing any trace — [`simulate_report_bounded_with`] with an
-/// infinite cutoff.
+/// without constructing any trace.
 ///
-/// This is the fast path every workload wrapper runs on: it drives the same
-/// scheduler as [`simulate_with`] through [`Engine::makespan_bounded`]
-/// (bit-identical timing, per-thread scratch reuse) but skips all per-task
+/// This is the path every figure runs on: it builds the full, comm-only and
+/// compute-only graphs in one walk over the lowered blocks and drives the
+/// same scheduler as [`simulate_with`] through [`Engine::makespan`]
+/// (bit-identical timing, per-thread scratch reuse), but skips all per-task
 /// entry recording *and all task labels* — the scheduler never reads names,
 /// and the empty shared label spares thousands of `format!` calls per
-/// candidate. Use [`simulate_with`] when the caller actually inspects the
-/// trace.
+/// kernel. Use [`simulate_with`] when the caller actually inspects the trace,
+/// and [`simulate_makespan_bounded_with`] when only the overlapped makespan
+/// matters.
 ///
 /// # Errors
 ///
 /// Returns an error if the generated task graph is invalid (which indicates a
 /// compiler bug, e.g. a dependency cycle between blocks).
 pub fn simulate_report_with(kernel: &CompiledKernel, cost: &SharedCost) -> Result<OverlapReport> {
-    Ok(simulate_report_bounded_with(kernel, cost, f64::INFINITY)?
-        .report()
-        .expect("an infinite cutoff is never exceeded"))
-}
-
-/// Outcome of a cutoff-bounded report simulation: the full report, or proof
-/// that the kernel's overlapped makespan exceeds the caller's cutoff.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BoundedReport {
-    /// The cutoff was never hit; the report is bit-identical to what
-    /// [`simulate_report_with`] returns.
-    Report(OverlapReport),
-    /// The overlapped (full-graph) simulation provably exceeds the cutoff;
-    /// carries the certified lower bound on the true makespan. The comm-only
-    /// and compute-only simulations are skipped entirely.
-    Exceeded(f64),
-}
-
-impl BoundedReport {
-    /// The exact report, or `None` when the simulation aborted past its
-    /// cutoff.
-    pub fn report(self) -> Option<OverlapReport> {
-        match self {
-            Self::Report(report) => Some(report),
-            Self::Exceeded(_) => None,
-        }
-    }
-}
-
-/// [`simulate_report_with`] with an abort cutoff on the overlapped makespan —
-/// the branch-and-bound fast path for search loops.
-///
-/// The full (overlapped) graph is simulated first through
-/// [`Engine::makespan_bounded`]. If the simulated clock provably exceeds
-/// `cutoff` the whole evaluation stops — including the comm-only and
-/// compute-only subset simulations, which is where most of the saving comes
-/// from — and [`BoundedReport::Exceeded`] is returned. Otherwise the two
-/// subset graphs run unbounded and the resulting [`OverlapReport`] is
-/// bit-identical to the unbounded path (one shared scheduler underneath).
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_report_with`].
-pub fn simulate_report_bounded_with(
-    kernel: &CompiledKernel,
-    cost: &SharedCost,
-    cutoff: f64,
-) -> Result<BoundedReport> {
     let cluster = cost.cluster().clone();
     let engine = Engine::with_cost(cost.clone());
     with_graph_scratch(|scratch| {
         build_subset_graphs_into(scratch, kernel, &cluster);
-        let full = {
+        let mut makespans = [0.0; 3];
+        for subset in [Subset::All, Subset::CommOnly, Subset::ComputeOnly] {
             let _span = tilelink_probe::span("simulate");
-            match engine.makespan_bounded(&scratch.slots[Subset::All.slot()].graph, cutoff)? {
-                tilelink_sim::BoundedMakespan::Finished(makespan) => makespan,
-                tilelink_sim::BoundedMakespan::Exceeded(clock) => {
-                    return Ok(BoundedReport::Exceeded(clock))
-                }
-            }
-        };
-        let comm = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::CommOnly.slot()].graph)?
-        };
-        let comp = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::ComputeOnly.slot()].graph)?
-        };
-        Ok(BoundedReport::Report(OverlapReport::new(full, comm, comp)))
+            makespans[subset.slot()] = engine.makespan(&scratch.slots[subset.slot()].graph)?;
+        }
+        let [full, comm, comp] = makespans;
+        Ok(OverlapReport::new(full, comm, comp))
+    })
+}
+
+/// The overlapped makespan alone, with an abort cutoff — the search's
+/// per-candidate path.
+///
+/// Builds only the full graph (no comm-only or compute-only subsets, no
+/// labels) and runs it through [`Engine::makespan_bounded`]: once the
+/// simulated clock provably exceeds `cutoff` the simulation stops and
+/// [`BoundedMakespan::Exceeded`] carries a certified lower bound on the true
+/// makespan. Otherwise the [`BoundedMakespan::Finished`] value is
+/// bit-identical to [`simulate_report_with`]'s `total_s`.
+///
+/// # Errors
+///
+/// Same failure modes as [`simulate_report_with`].
+pub fn simulate_makespan_bounded_with(
+    kernel: &CompiledKernel,
+    cost: &SharedCost,
+    cutoff: f64,
+) -> Result<BoundedMakespan> {
+    let cluster = cost.cluster().clone();
+    let engine = Engine::with_cost(cost.clone());
+    with_graph_scratch(|scratch| {
+        build_graph_into(scratch, kernel, &cluster, Subset::All, false);
+        let _span = tilelink_probe::span("simulate");
+        Ok(engine.makespan_bounded(&scratch.slots[0].graph, cutoff)?)
     })
 }
 
@@ -937,6 +906,49 @@ mod tests {
                 let (traced, _) = simulate_with(&kernel, &cost).unwrap();
                 let fast = simulate_report_with(&kernel, &cost).unwrap();
                 assert_eq!(fast, traced, "fast path must not change any figure");
+            }
+        }
+    }
+
+    #[test]
+    fn total_only_path_matches_the_report_total_bit_for_bit() {
+        let program = ag_gemm_program(4, 4, 4.0e6, 2048);
+        let cluster = ClusterSpec::h800_node(4);
+        for cost in [
+            analytic_cost(&cluster),
+            std::sync::Arc::new(tilelink_sim::CalibratedCostModel::h800_defaults(
+                cluster.clone(),
+            )) as tilelink_sim::SharedCost,
+        ] {
+            for cfg in [
+                OverlapConfig::default(),
+                OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine),
+            ] {
+                let kernel = compile(&program, cfg);
+                let exact = simulate_report_with(&kernel, &cost).unwrap().total_s;
+                match simulate_makespan_bounded_with(&kernel, &cost, f64::INFINITY).unwrap() {
+                    BoundedMakespan::Finished(total) => {
+                        assert_eq!(total.to_bits(), exact.to_bits())
+                    }
+                    BoundedMakespan::Exceeded(clock) => {
+                        panic!("infinite cutoff aborted at {clock}")
+                    }
+                }
+                let mut aborted = false;
+                for frac in [0.25, 0.5, 0.9, 0.999, 1.0, 1.5] {
+                    let cutoff = exact * frac;
+                    match simulate_makespan_bounded_with(&kernel, &cost, cutoff).unwrap() {
+                        BoundedMakespan::Finished(total) => {
+                            assert_eq!(total.to_bits(), exact.to_bits(), "cutoff {cutoff}")
+                        }
+                        BoundedMakespan::Exceeded(clock) => {
+                            aborted = true;
+                            assert!(clock > cutoff, "abort clock {clock} <= cutoff {cutoff}");
+                            assert!(clock <= exact, "abort clock {clock} > makespan {exact}");
+                        }
+                    }
+                }
+                assert!(aborted, "a quarter of the makespan must abort");
             }
         }
     }

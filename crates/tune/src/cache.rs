@@ -1,6 +1,6 @@
 //! Persistent tuning cache keyed by `(workload, cluster, config)`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{hash_map, HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -9,7 +9,7 @@ use std::sync::Mutex;
 use tilelink::{OverlapConfig, OverlapReport};
 use tilelink_probe::metrics::TUNE_CACHE_OPEN_ERRORS;
 
-use crate::{Result, TuneError};
+use crate::{Priced, Result, TuneError};
 
 /// Environment variable overriding the default cache location.
 pub const CACHE_PATH_ENV: &str = "TILELINK_TUNE_CACHE";
@@ -32,6 +32,11 @@ pub const FLUSH_ABORT_ENV: &str = "TILELINK_TUNE_CACHE_FLUSH_ABORT";
 /// skips them as malformed instead of reading a bound as a timing.
 const FLOOR_TAG: &str = "floor";
 
+/// Second column of a total line (`key<TAB>total<TAB>seconds`): three columns
+/// like a floor line, so four-column readers skip it too, and readers that
+/// only know the floor tag skip it as an unknown tag.
+const TOTAL_TAG: &str = "total";
+
 fn flush_abort_point(point: &str) {
     if std::env::var(FLUSH_ABORT_ENV).as_deref() == Ok(point) {
         std::process::abort();
@@ -46,58 +51,100 @@ fn flush_abort_point(point: &str) {
 /// microseconds instead of the whole tuning run).
 static FLUSH_LOCK: Mutex<()> = Mutex::new(());
 
-/// The two line kinds of a cache file: simulated reports and certified
-/// branch-and-bound floors, keyed alike.
+/// One cache entry; the three kinds are the three line kinds of a cache
+/// file, keyed alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    /// Certified branch-and-bound floor: the objective value is at least this.
+    Floor(f64),
+    /// Exact objective value, without the comm-only/compute-only split.
+    Total(f64),
+    /// Exact report, split included.
+    Report(OverlapReport),
+}
+
+impl Entry {
+    /// Precedence of the kind: a report supersedes a total, which
+    /// supersedes a floor.
+    fn rank(&self) -> u8 {
+        match self {
+            Entry::Floor(_) => 0,
+            Entry::Total(_) => 1,
+            Entry::Report(_) => 2,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Contents {
-    reports: HashMap<String, OverlapReport>,
-    floors: HashMap<String, f64>,
+    entries: HashMap<String, Entry>,
 }
 
 impl Contents {
-    /// Records `floor` under `key` unless a report supersedes it or a larger
-    /// floor is already known. Returns whether the stored floor changed.
-    fn raise_floor(&mut self, key: &str, floor: f64) -> bool {
-        if !floor.is_finite() || self.reports.contains_key(key) {
+    /// Merges `entry` into `key`'s entry by precedence: a higher kind
+    /// replaces a lower one and is never replaced by it; between two floors
+    /// the larger wins, between two priced entries of one kind the incoming
+    /// one. Non-finite floors are ignored. Returns whether the stored entry
+    /// changed.
+    fn merge(&mut self, key: String, entry: Entry) -> bool {
+        if matches!(entry, Entry::Floor(f) if !f.is_finite()) {
             return false;
         }
-        match self.floors.get_mut(key) {
-            Some(old) if *old >= floor => false,
-            Some(old) => {
-                *old = floor;
-                true
+        let old = match self.entries.entry(key) {
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(entry);
+                return true;
             }
-            None => {
-                self.floors.insert(key.to_string(), floor);
-                true
-            }
+            hash_map::Entry::Occupied(slot) => slot.into_mut(),
+        };
+        let replace = match old.rank().cmp(&entry.rank()) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Greater => false,
+            std::cmp::Ordering::Equal => match (*old, entry) {
+                (Entry::Floor(a), Entry::Floor(b)) => b > a,
+                (a, b) => a != b,
+            },
+        };
+        if replace {
+            *old = entry;
         }
+        replace
     }
 
-    /// Every key, report or floor, in `scope` but outside `current_prefix`.
+    /// Every key, whatever its kind, in `scope` but outside `current_prefix`.
     fn stale_keys<'a>(
         &'a self,
         scope: &'a str,
         current_prefix: &str,
     ) -> impl Iterator<Item = &'a String> + 'a {
         let current = format!("{current_prefix}|");
-        self.reports
+        self.entries
             .keys()
-            .chain(self.floors.keys())
             .filter(move |k| k.starts_with(scope) && !k.starts_with(&current))
     }
 }
 
-/// A persistent map from tuning keys to simulated timing reports, plus the
-/// certified lower bounds of candidates that branch-and-bound disposed of.
+/// A persistent map from tuning keys to simulated objective values and
+/// reports, plus the certified lower bounds of candidates that
+/// branch-and-bound disposed of.
 ///
 /// The on-disk format is a line-oriented TSV so cache files can be inspected
-/// and diffed. A report line is `key<TAB>total_s<TAB>comm_only_s<TAB>comp_only_s`.
-/// A floor line is `key<TAB>floor<TAB>seconds`: the objective value of that
-/// candidate is proven to be at least `seconds` (the clock at which a bounded
-/// simulation aborted past the incumbent, see [`TuneCache::record_floor`]).
-/// Floor lines have three columns, so a reader that only understands report
-/// lines skips them as malformed and can never mistake a bound for a timing.
+/// and diffed. It has three line kinds, told apart by their shape:
+///
+/// * a report line `key<TAB>total_s<TAB>comm_only_s<TAB>comp_only_s` holds
+///   the full [`OverlapReport`] (the tuner writes one for each search's
+///   winner, see [`TuneCache::insert`]);
+/// * a total line `key<TAB>total<TAB>seconds` holds the exact objective value
+///   of a candidate the search ranked without pricing its comm-only and
+///   compute-only split ([`TuneCache::insert_total`]);
+/// * a floor line `key<TAB>floor<TAB>seconds` proves the objective value of
+///   that candidate is at least `seconds` (the clock at which a bounded
+///   simulation aborted past the incumbent, see [`TuneCache::record_floor`]).
+///
+/// Total and floor lines have three columns, so a reader that only
+/// understands report lines skips them as malformed and can never mistake a
+/// bound for a timing or read a report without its split; a reader that
+/// knows floor lines but not total lines skips the unknown tag.
 ///
 /// Keys combine the oracle's workload key, the [`crate::cluster_key`] of the
 /// cluster, the cost-model revision ([`crate::CostOracle::cost_revision`]),
@@ -109,9 +156,12 @@ impl Contents {
 /// self-invalidates instead of serving timings the current model would not
 /// produce, and mean-tuned entries never alias with p99-tuned ones.
 ///
-/// A floor is never returned by [`TuneCache::get`]; the tuner only uses it to
-/// skip a candidate whose floor already reaches the current cutoff. A report
-/// for the same key supersedes the floor.
+/// One key holds one entry, and the kinds rank report > total > floor: a
+/// higher kind supersedes a lower one for the same key — in memory, on load
+/// and in the flush merge. [`TuneCache::get`] returns the objective value of
+/// a report or a total, [`TuneCache::report`] full reports only, and a floor
+/// is only ever used to skip a candidate whose floor already reaches the
+/// current cutoff.
 ///
 /// # Persistence semantics
 ///
@@ -120,15 +170,16 @@ impl Contents {
 /// so readers always see either the old complete file or the new complete
 /// file — an interrupted flush can never truncate the cache. Before
 /// rewriting, `flush` re-reads the on-disk file and merges it with the
-/// in-memory entries (union; the in-memory report wins when both sides hold
-/// the same key, and the larger of two floors wins), so concurrent tuners
+/// in-memory entries (union by the precedence above; between two entries of
+/// one priced kind the in-memory one wins, and the larger of two floors
+/// wins), so concurrent tuners
 /// sharing one cache file — as CI's shared `TILELINK_TUNE_CACHE` does across
 /// smoke steps — accumulate entries instead of clobbering each other.
 /// Unparseable lines are still skipped on load, so a cache file damaged by
 /// external means only loses the damaged entries, never the whole cache.
 ///
-/// A flush is a no-op unless this handle inserted a report, raised a floor
-/// or swept a key since its last successful flush, so a run answered
+/// A flush is a no-op unless this handle changed an entry or swept a key
+/// since its last successful flush, so a run answered
 /// entirely from the cache never rewrites the file.
 #[derive(Debug)]
 pub struct TuneCache {
@@ -188,36 +239,36 @@ impl TuneCache {
                 })
             }
         };
-        let mut floor_lines = Vec::new();
         for line in text.lines() {
             let mut parts = line.split('\t');
-            let (Some(key), Some(total), Some(comm)) = (parts.next(), parts.next(), parts.next())
+            let (Some(key), Some(second), Some(third)) = (parts.next(), parts.next(), parts.next())
             else {
                 continue;
             };
-            let Some(comp) = parts.next() else {
-                if total == FLOOR_TAG {
-                    floor_lines.push((key, comm));
+            let entry = match parts.next() {
+                Some(comp) => {
+                    let (Ok(total), Ok(comm), Ok(comp)) = (
+                        second.parse::<f64>(),
+                        third.parse::<f64>(),
+                        comp.parse::<f64>(),
+                    ) else {
+                        continue;
+                    };
+                    Entry::Report(OverlapReport::new(total, comm, comp))
                 }
-                continue;
+                None => {
+                    let Ok(seconds) = third.parse::<f64>() else {
+                        continue;
+                    };
+                    match second {
+                        FLOOR_TAG => Entry::Floor(seconds),
+                        TOTAL_TAG => Entry::Total(seconds),
+                        _ => continue,
+                    }
+                }
             };
-            let (Ok(total), Ok(comm), Ok(comp)) = (
-                total.parse::<f64>(),
-                comm.parse::<f64>(),
-                comp.parse::<f64>(),
-            ) else {
-                continue;
-            };
-            contents
-                .reports
-                .insert(key.to_string(), OverlapReport::new(total, comm, comp));
-        }
-        // After the reports, so a report anywhere in the file supersedes a
-        // floor for the same key.
-        for (key, floor) in floor_lines {
-            if let Ok(floor) = floor.parse::<f64>() {
-                contents.raise_floor(key, floor);
-            }
+            // Precedence, not file order, decides between kinds of one key.
+            contents.merge(key.to_string(), entry);
         }
         Ok(contents)
     }
@@ -266,14 +317,19 @@ impl TuneCache {
         self.path.as_deref()
     }
 
-    /// Number of cached reports (floors are not counted).
+    /// Number of priced entries — reports and totals (floors are not
+    /// counted).
     pub fn len(&self) -> usize {
-        self.contents.reports.len()
+        self.contents
+            .entries
+            .values()
+            .filter(|e| !matches!(e, Entry::Floor(_)))
+            .count()
     }
 
-    /// Returns `true` if the cache holds no reports.
+    /// Returns `true` if the cache holds no report and no total.
     pub fn is_empty(&self) -> bool {
-        self.contents.reports.is_empty()
+        self.len() == 0
     }
 
     /// The shared `workload|cluster|revision|objective` prefix of every key
@@ -313,18 +369,37 @@ impl TuneCache {
         )
     }
 
-    /// Looks up a cached report. Floors are never returned here.
-    pub fn get(&self, key: &str) -> Option<OverlapReport> {
-        self.contents.reports.get(key).copied()
+    /// Looks up the exact objective value cached for `key`: a report's
+    /// `total_s` or a total. Floors are never returned here.
+    pub fn get(&self, key: &str) -> Option<Priced> {
+        match self.contents.entries.get(key)? {
+            Entry::Report(report) => Some(Priced {
+                total_s: report.total_s,
+            }),
+            Entry::Total(total_s) => Some(Priced { total_s: *total_s }),
+            Entry::Floor(_) => None,
+        }
+    }
+
+    /// Looks up a cached full report. Totals and floors are never returned
+    /// here.
+    pub fn report(&self, key: &str) -> Option<OverlapReport> {
+        match self.contents.entries.get(key)? {
+            Entry::Report(report) => Some(*report),
+            _ => None,
+        }
     }
 
     /// The certified lower bound recorded for `key`, if the candidate was
     /// disposed of by branch-and-bound and never fully simulated.
     pub fn floor(&self, key: &str) -> Option<f64> {
-        self.contents.floors.get(key).copied()
+        match self.contents.entries.get(key)? {
+            Entry::Floor(floor) => Some(*floor),
+            _ => None,
+        }
     }
 
-    /// Number of entries — reports and floors — for the same
+    /// Number of entries — of every kind — for the same
     /// `workload|cluster` scope that were recorded under a *different*
     /// cost-model revision or objective than `current_prefix` (a full
     /// [`TuneCache::key_prefix`]).
@@ -336,7 +411,7 @@ impl TuneCache {
         self.contents.stale_keys(scope, current_prefix).count()
     }
 
-    /// Removes every entry — report or floor — in `scope` recorded under a
+    /// Removes every entry — of every kind — in `scope` recorded under a
     /// different cost-model revision or objective than `current_prefix` (the
     /// same notion of stale as [`TuneCache::count_stale`]) and returns how
     /// many were swept.
@@ -354,8 +429,7 @@ impl TuneCache {
             .cloned()
             .collect();
         for key in &stale {
-            self.contents.reports.remove(key);
-            self.contents.floors.remove(key);
+            self.contents.entries.remove(key);
         }
         if !stale.is_empty() {
             self.dirty.store(true, Ordering::Relaxed);
@@ -365,22 +439,30 @@ impl TuneCache {
         swept
     }
 
-    /// Inserts (or replaces) a cached report, superseding any floor recorded
-    /// for the same key. Call [`TuneCache::flush`] to persist.
+    /// Inserts (or replaces) a cached report, superseding any total or floor
+    /// recorded for the same key. Call [`TuneCache::flush`] to persist.
     pub fn insert(&mut self, key: String, report: OverlapReport) {
-        self.tombstones.remove(&key);
-        self.contents.floors.remove(&key);
-        self.contents.reports.insert(key, report);
-        self.dirty.store(true, Ordering::Relaxed);
+        self.record(key, Entry::Report(report));
+    }
+
+    /// Caches the exact objective value of `key` without its comm-only and
+    /// compute-only split, superseding any floor. Ignored when a report for
+    /// the key is cached. Call [`TuneCache::flush`] to persist.
+    pub fn insert_total(&mut self, key: String, total: f64) {
+        self.record(key, Entry::Total(total));
     }
 
     /// Records a certified lower bound on the objective value of `key`: the
     /// clock of a bounded simulation that aborted past the incumbent
-    /// ([`tilelink::exec::BoundedReport::Exceeded`]). Ignored when a report
-    /// for the key is cached or a larger floor is already known, and for
-    /// non-finite values. Call [`TuneCache::flush`] to persist.
+    /// ([`tilelink_sim::BoundedMakespan::Exceeded`]). Ignored when a report or
+    /// total for the key is cached or a larger floor is already known, and
+    /// for non-finite values. Call [`TuneCache::flush`] to persist.
     pub fn record_floor(&mut self, key: String, floor: f64) {
-        if self.contents.raise_floor(&key, floor) {
+        self.record(key, Entry::Floor(floor));
+    }
+
+    fn record(&mut self, key: String, entry: Entry) {
+        if self.contents.merge(key.clone(), entry) {
             self.tombstones.remove(&key);
             self.dirty.store(true, Ordering::Relaxed);
         }
@@ -390,13 +472,14 @@ impl TuneCache {
     /// for a handle with no changes since its last successful flush).
     ///
     /// The rewrite is atomic (temp sibling + `rename`) and merges with the
-    /// current on-disk contents first — union of both sides, the in-memory
-    /// report winning on key conflict, the larger floor winning between two
-    /// floors, and a report from either side superseding a floor — so an
-    /// interrupted flush never truncates the file and concurrent writers
-    /// never clobber each other's entries. Reports are written sorted by
-    /// key, then floors sorted by key, so the file is deterministic. A failed
-    /// flush leaves the handle dirty, so the next one retries.
+    /// current on-disk contents first — union of both sides, a report from
+    /// either side superseding a total and a total superseding a floor, the
+    /// in-memory entry winning between two reports or two totals, and the
+    /// larger floor winning between two floors — so an interrupted flush
+    /// never truncates the file and concurrent writers never clobber each
+    /// other's entries. Reports are written sorted by key, then totals, then
+    /// floors, so the file is deterministic. A failed flush leaves the
+    /// handle dirty, so the next one retries.
     ///
     /// # Errors
     ///
@@ -420,39 +503,33 @@ impl TuneCache {
         let _serialize = FLUSH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
         // Merge with whatever is on disk right now: another tuner may have
-        // flushed since this cache was opened. In-memory reports win on
-        // conflict (they are this run's freshest measurements), and keys
-        // swept by `sweep_stale` are dropped from the merge so the rewrite
-        // shrinks the file instead of re-reading the stale entries back in.
+        // flushed since this cache was opened. In-memory entries win within
+        // a priced kind (they are this run's freshest measurements), and
+        // keys swept by `sweep_stale` are dropped from the merge so the
+        // rewrite shrinks the file instead of re-reading the stale entries
+        // back in.
         let mut merged = Self::read_contents(path)?;
         for key in &self.tombstones {
-            merged.reports.remove(key);
-            merged.floors.remove(key);
+            merged.entries.remove(key);
         }
-        for (key, report) in &self.contents.reports {
-            merged.floors.remove(key);
-            merged.reports.insert(key.clone(), *report);
-        }
-        for (key, floor) in &self.contents.floors {
-            merged.raise_floor(key, *floor);
+        for (key, entry) in &self.contents.entries {
+            merged.merge(key.clone(), *entry);
         }
 
-        let mut out = Vec::with_capacity((merged.reports.len() + merged.floors.len()) * 64);
-        let mut keys: Vec<&String> = merged.reports.keys().collect();
-        keys.sort();
-        for key in keys {
-            let r = &merged.reports[key];
-            writeln!(
-                out,
-                "{key}\t{:.17e}\t{:.17e}\t{:.17e}",
-                r.total_s, r.comm_only_s, r.comp_only_s
-            )
+        let mut sorted: Vec<(&String, &Entry)> = merged.entries.iter().collect();
+        sorted.sort_by(|a, b| b.1.rank().cmp(&a.1.rank()).then_with(|| a.0.cmp(b.0)));
+        let mut out = Vec::with_capacity(sorted.len() * 64);
+        for (key, entry) in sorted {
+            match entry {
+                Entry::Report(r) => writeln!(
+                    out,
+                    "{key}\t{:.17e}\t{:.17e}\t{:.17e}",
+                    r.total_s, r.comm_only_s, r.comp_only_s
+                ),
+                Entry::Total(total) => writeln!(out, "{key}\t{TOTAL_TAG}\t{total:.17e}"),
+                Entry::Floor(floor) => writeln!(out, "{key}\t{FLOOR_TAG}\t{floor:.17e}"),
+            }
             .map_err(io_err)?;
-        }
-        let mut keys: Vec<&String> = merged.floors.keys().collect();
-        keys.sort();
-        for key in keys {
-            writeln!(out, "{key}\t{FLOOR_TAG}\t{:.17e}", merged.floors[key]).map_err(io_err)?;
         }
 
         // Write the new contents to a temp sibling, then rename it over the
@@ -507,7 +584,7 @@ mod tests {
 
         let reloaded = TuneCache::open(&path).unwrap();
         assert_eq!(reloaded.len(), 1);
-        let r = reloaded.get(&key).unwrap();
+        let r = reloaded.report(&key).unwrap();
         assert_eq!(r.total_s, 1.25e-3);
         assert_eq!(r.comm_only_s, 5e-4);
         assert_eq!(r.comp_only_s, 1e-3);
@@ -777,13 +854,17 @@ mod tests {
         std::fs::write(&path, text).unwrap();
         let mut cache = TuneCache::open(&path).unwrap();
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get("a|k"), Some(OverlapReport::new(1.0, 0.5, 0.75)));
+        assert_eq!(
+            cache.report("a|k"),
+            Some(OverlapReport::new(1.0, 0.5, 0.75))
+        );
         assert!(cache.floor("a|k").is_none());
         // Nothing changed, so the flush leaves the file alone.
         cache.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         // A rewrite keeps every report line byte for byte.
         cache.record_floor("c|k".into(), 3.0);
+        cache.insert_total("d|k".into(), 4.0);
         cache.flush().unwrap();
         let rewritten = std::fs::read_to_string(&path).unwrap();
         assert!(rewritten.starts_with(text), "{rewritten}");
@@ -807,6 +888,98 @@ mod tests {
         assert_eq!(reloaded.len(), 1, "floors are not reports");
         assert!(reloaded.get("floor|k").is_none());
         assert_eq!(reloaded.floor("floor|k"), Some(2.5e-3));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_four_column_parser_skips_total_lines() {
+        let path = tmp("total-lines.tsv");
+        let _ = std::fs::remove_file(&path);
+        let mut cache = TuneCache::open(&path).unwrap();
+        cache.insert("report|k".into(), OverlapReport::new(1.0, 0.5, 0.5));
+        cache.insert_total("total|k".into(), 1.5e-3);
+        cache.record_floor("floor|k".into(), 2.5e-3);
+        cache.flush().unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("total|k\ttotal\t"), "{text}");
+        assert_eq!(four_column_keys(&text), ["report|k"]);
+        // A reader that knows floor lines but not total lines skips the
+        // unknown tag.
+        let floor_keys: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split_once('\t'))
+            .filter(|(_, rest)| rest.starts_with("floor\t"))
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(floor_keys, ["floor|k"]);
+
+        let reloaded = TuneCache::open(&path).unwrap();
+        assert_eq!(reloaded.len(), 2, "a total is priced, a floor is not");
+        assert!(
+            reloaded.report("total|k").is_none(),
+            "a total is not a report"
+        );
+        assert_eq!(reloaded.get("total|k"), Some(Priced { total_s: 1.5e-3 }));
+        assert_eq!(reloaded.get("report|k"), Some(Priced { total_s: 1.0 }));
+        assert!(reloaded.get("floor|k").is_none());
+        assert!(reloaded.floor("total|k").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reports_supersede_totals_which_supersede_floors() {
+        // In memory, whatever the insertion order.
+        let mut cache = TuneCache::in_memory();
+        cache.record_floor("k".into(), 2.0);
+        cache.insert_total("k".into(), 3.0);
+        assert!(cache.floor("k").is_none());
+        cache.record_floor("k".into(), 4.0);
+        assert_eq!(
+            cache.get("k"),
+            Some(Priced { total_s: 3.0 }),
+            "a floor never shadows a total"
+        );
+        cache.insert("k".into(), OverlapReport::new(3.0, 1.0, 2.0));
+        cache.insert_total("k".into(), 3.0);
+        assert_eq!(cache.report("k"), Some(OverlapReport::new(3.0, 1.0, 2.0)));
+
+        // On load, wherever the lines sit in the file.
+        let path = tmp("precedence.tsv");
+        std::fs::write(
+            &path,
+            "a\ttotal\t3.0\na\tfloor\t2.0\nb\t3.0\t1.0\t2.0\nb\ttotal\t3.0\n\
+             c\tfloor\t5.0\nc\ttotal\t6.0\nc\tfloor\t7.0\n",
+        )
+        .unwrap();
+        let opened = TuneCache::open(&path).unwrap();
+        assert_eq!(opened.get("a"), Some(Priced { total_s: 3.0 }));
+        assert!(opened.floor("a").is_none());
+        assert_eq!(opened.report("b"), Some(OverlapReport::new(3.0, 1.0, 2.0)));
+        assert_eq!(opened.get("c"), Some(Priced { total_s: 6.0 }));
+        assert!(opened.floor("c").is_none());
+
+        // In the flush merge, from either side.
+        let _ = std::fs::remove_file(&path);
+        let mut a = TuneCache::open(&path).unwrap();
+        let mut b = TuneCache::open(&path).unwrap();
+        b.insert("report".into(), OverlapReport::new(3.0, 1.0, 2.0));
+        b.insert_total("total".into(), 4.0);
+        b.record_floor("floor".into(), 5.0);
+        b.flush().unwrap();
+        a.insert_total("report".into(), 3.0);
+        a.record_floor("total".into(), 3.5);
+        a.insert_total("floor".into(), 6.0);
+        a.flush().unwrap();
+        let merged = TuneCache::open(&path).unwrap();
+        assert_eq!(
+            merged.report("report"),
+            Some(OverlapReport::new(3.0, 1.0, 2.0))
+        );
+        assert_eq!(merged.get("total"), Some(Priced { total_s: 4.0 }));
+        assert!(merged.floor("total").is_none());
+        assert_eq!(merged.get("floor"), Some(Priced { total_s: 6.0 }));
+        assert!(merged.floor("floor").is_none());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -34,9 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use tilelink::exec::BoundedReport;
 use tilelink::OverlapConfig;
 use tilelink_probe::metrics::{TUNE_EXECUTOR_QUEUE_DEPTH, TUNE_EXECUTOR_REUSES};
+use tilelink_sim::BoundedMakespan;
 
 use crate::search::timed_eval;
 use crate::CostOracle;
@@ -88,7 +88,7 @@ struct Batch {
 }
 
 struct BatchState {
-    results: Vec<Option<tilelink::Result<BoundedReport>>>,
+    results: Vec<Option<tilelink::Result<BoundedMakespan>>>,
     outstanding: usize,
 }
 
@@ -235,7 +235,7 @@ impl SearchExecutor {
         oracle: &dyn CostOracle,
         misses: &[&OverlapConfig],
         cutoff: Arc<AtomicU64>,
-    ) -> Vec<Option<tilelink::Result<BoundedReport>>> {
+    ) -> Vec<Option<tilelink::Result<BoundedMakespan>>> {
         if misses.is_empty() {
             return Vec::new();
         }
@@ -379,10 +379,10 @@ mod tests {
         assert_eq!(results.len(), 3);
         for (i, r) in results.iter().enumerate() {
             let eval = r.as_ref().expect("slot filled").as_ref().expect("ok");
-            let BoundedReport::Report(report) = eval else {
+            let BoundedMakespan::Finished(total) = eval else {
                 panic!("infinite cutoff must never abort");
             };
-            assert_eq!(report.total_s, configs[i].num_stages as f64);
+            assert_eq!(*total, configs[i].num_stages as f64);
         }
         assert_eq!(calls.load(Ordering::SeqCst), 3);
     }

@@ -20,7 +20,7 @@
 //!   that visits a tiny fraction of large spaces while never returning a
 //!   config worse than its seed (the default config);
 //! * [`TuneCache`] — a persistent on-disk cache keyed by
-//!   `(workload, cluster, cost-model revision, config)` so repeated searches
+//!   `(workload, cluster, cost-model revision, objective, config)` so repeated searches
 //!   are near-free. The simulator is deterministic, so cached costs never go
 //!   stale for a fixed cost model — and because the provider's
 //!   [`tilelink_sim::CostProvider::revision`] fingerprint is part of the key,
@@ -36,13 +36,17 @@
 //! # Example
 //!
 //! ```
-//! use tilelink::exec::BoundedReport;
 //! use tilelink::{OverlapConfig, OverlapReport};
-//! use tilelink_sim::ClusterSpec;
+//! use tilelink_sim::{BoundedMakespan, ClusterSpec};
 //! use tilelink_tune::{CostOracle, SearchSpace, Strategy, Tuner};
 //!
 //! /// A toy oracle: prefers large compute tiles and few comm SMs.
 //! struct Toy(ClusterSpec);
+//! impl Toy {
+//!     fn cost(cfg: &OverlapConfig) -> f64 {
+//!         1.0 / cfg.compute_tile.numel() as f64 + cfg.comm_mapping.comm_sms() as f64 * 1e-6
+//!     }
+//! }
 //! impl CostOracle for Toy {
 //!     fn workload_key(&self) -> String {
 //!         "toy".to_string()
@@ -54,24 +58,24 @@
 //!         &self,
 //!         cfg: &OverlapConfig,
 //!         cutoff: f64,
-//!     ) -> tilelink::Result<BoundedReport> {
-//!         let t = 1.0 / cfg.compute_tile.numel() as f64
-//!             + cfg.comm_mapping.comm_sms() as f64 * 1e-6;
-//!         if t > cutoff {
-//!             return Ok(BoundedReport::Exceeded(t));
-//!         }
-//!         Ok(BoundedReport::Report(OverlapReport::new(t, t / 2.0, t / 2.0)))
+//!     ) -> tilelink::Result<BoundedMakespan> {
+//!         let t = Self::cost(cfg);
+//!         Ok(if t > cutoff {
+//!             BoundedMakespan::Exceeded(t)
+//!         } else {
+//!             BoundedMakespan::Finished(t)
+//!         })
+//!     }
+//!     fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+//!         let t = Self::cost(cfg);
+//!         Ok(OverlapReport::new(t, t / 2.0, t / 2.0))
 //!     }
 //! }
 //!
 //! let oracle = Toy(ClusterSpec::h800_node(8));
 //! let space = SearchSpace::standard();
 //! let report = Tuner::new(Strategy::Exhaustive).tune(&oracle, &space).unwrap();
-//! let default = oracle
-//!     .evaluate_bounded(&OverlapConfig::default(), f64::INFINITY)
-//!     .unwrap()
-//!     .report()
-//!     .unwrap();
+//! let default = oracle.report(&OverlapConfig::default()).unwrap();
 //! assert!(report.best.report.total_s <= default.total_s);
 //! ```
 
@@ -90,7 +94,9 @@ pub use error::TuneError;
 pub use executor::{ExecutorSession, SearchExecutor};
 pub use objective::Objective;
 pub use oracle::{cluster_key, CostOracle, FnOracle};
-pub use search::{Candidate, FailedBreakdown, RoundProgress, Strategy, TuneReport, Tuner};
+pub use search::{
+    Candidate, FailedBreakdown, Priced, RoundProgress, Strategy, TuneReport, Tuner, Winner,
+};
 pub use space::{AxisConstraint, PruneCounts, SearchSpace, RING_REQUIRES_PUSH};
 
 /// Convenience result alias used throughout the crate.

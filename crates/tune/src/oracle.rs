@@ -1,8 +1,7 @@
 //! The cost oracle: anything that can price one candidate configuration.
 
-use tilelink::exec::BoundedReport;
 use tilelink::{OverlapConfig, OverlapReport};
-use tilelink_sim::ClusterSpec;
+use tilelink_sim::{BoundedMakespan, ClusterSpec};
 
 use crate::Objective;
 
@@ -10,8 +9,19 @@ use crate::Objective;
 ///
 /// The workload crates implement this by building the tile program for the
 /// candidate, compiling it with [`tilelink::Compiler`] and simulating the
-/// result on the `tilelink-sim` engine; the simulated makespan
-/// ([`OverlapReport::total_s`]) is the objective the tuner minimises.
+/// result on the `tilelink-sim` engine. Pricing has two entry points:
+///
+/// * [`CostOracle::evaluate_bounded`] returns only the *objective value* —
+///   the simulated makespan ([`OverlapReport::total_s`]), folded over samples
+///   for sampled oracles — or a certified floor once it provably exceeds a
+///   cutoff. The search ranks on this alone, so implementations simulate the
+///   full (overlapped) kernel graph only.
+/// * [`CostOracle::report`] returns the exact [`OverlapReport`], with the
+///   comm-only and compute-only makespans its overlap ratio needs. The tuner
+///   calls it once per search, for the winner.
+///
+/// The two must agree: `report(cfg).total_s` is bit-identical to the
+/// objective value `evaluate_bounded(cfg, f64::INFINITY)` finishes with.
 ///
 /// Implementations must be deterministic and thread-safe (`Sync`): the tuner
 /// calls [`CostOracle::evaluate_bounded`] concurrently from multiple threads,
@@ -52,8 +62,8 @@ pub trait CostOracle: Sync {
     /// [`CostOracle::evaluate_bounded`] would report for `cfg`, or `None` when
     /// no sound bound is available.
     ///
-    /// Admissible means `lower_bound(cfg) <= total_s` of the infinite-cutoff
-    /// report (or the folded objective value for sampled oracles) for every
+    /// Admissible means `lower_bound(cfg) <=` the infinite-cutoff objective
+    /// value (the folded value for sampled oracles) for every
     /// supported config: the tuner skips candidates whose bound already
     /// meets or exceeds the incumbent best, so an inadmissible bound would
     /// change winners. Implementations must not compile, build graphs or run event
@@ -67,23 +77,37 @@ pub trait CostOracle: Sync {
         None
     }
 
-    /// Compiles and simulates one candidate with an abort cutoff on its
-    /// objective value.
+    /// Compiles and simulates one candidate for its objective value, with an
+    /// abort cutoff.
     ///
-    /// Implementations may stop early and return [`BoundedReport::Exceeded`]
+    /// Implementations may stop early and return [`BoundedMakespan::Exceeded`]
     /// as soon as the objective value provably exceeds `cutoff` strictly,
     /// carrying a certified lower bound on the true value. The contract
     /// mirrors [`tilelink_sim::Engine::makespan_bounded`]: when the cutoff is
-    /// not hit, the returned report must be bit-identical to the one an
-    /// infinite cutoff yields. Pass `f64::INFINITY` for an exact evaluation;
-    /// ignoring the cutoff is always sound.
+    /// not hit, the [`BoundedMakespan::Finished`] value must be bit-identical
+    /// to the one an infinite cutoff yields, and to
+    /// [`CostOracle::report`]'s `total_s`. Pass `f64::INFINITY` for an exact
+    /// evaluation; ignoring the cutoff is always sound.
     ///
     /// # Errors
     ///
     /// Returns an error if the candidate fails to compile or simulate; the
     /// tuner counts such candidates as failed.
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64)
-        -> tilelink::Result<BoundedReport>;
+    fn evaluate_bounded(
+        &self,
+        cfg: &OverlapConfig,
+        cutoff: f64,
+    ) -> tilelink::Result<BoundedMakespan>;
+
+    /// The exact report of one candidate: its objective value plus the
+    /// comm-only and compute-only makespans (for sampled oracles, the
+    /// objective's fold of the per-sample reports, see
+    /// [`Objective::fold_reports`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the candidate fails to compile or simulate.
+    fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport>;
 
     /// Workload-specific validity constraints beyond
     /// [`OverlapConfig::validate`] (for example tile-divisibility rules).
@@ -216,8 +240,12 @@ where
         &self,
         cfg: &OverlapConfig,
         _cutoff: f64,
-    ) -> tilelink::Result<BoundedReport> {
-        (self.evaluate)(cfg).map(BoundedReport::Report)
+    ) -> tilelink::Result<BoundedMakespan> {
+        (self.evaluate)(cfg).map(|report| BoundedMakespan::Finished(report.total_s))
+    }
+
+    fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+        (self.evaluate)(cfg)
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -272,11 +300,14 @@ mod tests {
             ..OverlapConfig::default()
         }));
         assert!(!oracle.is_supported(&OverlapConfig::default()));
+        let cfg = OverlapConfig::default();
         assert_eq!(
-            oracle
-                .evaluate_bounded(&OverlapConfig::default(), f64::INFINITY)
-                .unwrap(),
-            BoundedReport::Report(OverlapReport::new(1.0, 0.5, 0.5))
+            oracle.evaluate_bounded(&cfg, f64::INFINITY).unwrap(),
+            BoundedMakespan::Finished(1.0)
+        );
+        assert_eq!(
+            oracle.report(&cfg).unwrap(),
+            OverlapReport::new(1.0, 0.5, 0.5)
         );
     }
 }

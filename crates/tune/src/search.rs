@@ -7,14 +7,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use tilelink::exec::BoundedReport;
 use tilelink::{OverlapConfig, OverlapReport, TileLinkError};
 use tilelink_probe::metrics::{
     TUNE_CACHE_HITS, TUNE_CACHE_MISSES, TUNE_CACHE_REVISION_INVALIDATIONS, TUNE_CANDIDATES_CACHED,
     TUNE_CANDIDATES_FAILED_SIM, TUNE_CANDIDATES_PRUNED_BOUND, TUNE_CANDIDATES_PRUNED_CONSTRAINT,
     TUNE_CANDIDATES_PRUNED_FLOOR, TUNE_CANDIDATES_PRUNED_VALIDATE, TUNE_CANDIDATES_SIMULATED,
     TUNE_COMPILE_FULL_REBUILDS, TUNE_COMPILE_PATCHED, TUNE_EVAL_US, TUNE_SPACE_SIZE,
+    TUNE_WINNER_REPORTS,
 };
+use tilelink_sim::BoundedMakespan;
 
 use crate::executor::SearchExecutor;
 use crate::oracle::cluster_key;
@@ -67,9 +68,40 @@ impl Default for Strategy {
 pub struct Candidate {
     /// The configuration.
     pub config: OverlapConfig,
-    /// Its simulated timing.
+    /// The objective value the search ranked it by.
+    pub report: Priced,
+    /// Whether the value came from the persistent cache (no oracle call).
+    pub from_cache: bool,
+}
+
+/// What the search prices a candidate by: its objective value alone.
+///
+/// The comm-only and compute-only makespans behind the overlap ratio are
+/// priced for the winner only, after the search (see [`TuneReport::best`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Priced {
+    /// The objective value ([`CostOracle::evaluate_bounded`] at an infinite
+    /// cutoff), in seconds: the simulated makespan, folded over samples for
+    /// sampled oracles.
+    pub total_s: f64,
+}
+
+impl Priced {
+    /// The objective value in milliseconds.
+    pub fn total_ms(&self) -> f64 {
+        self.total_s * 1e3
+    }
+}
+
+/// The winning configuration with its full report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Winner {
+    /// The configuration.
+    pub config: OverlapConfig,
+    /// Its exact report ([`CostOracle::report`]); `total_s` is bit-identical
+    /// to the objective value it won with.
     pub report: OverlapReport,
-    /// Whether the timing came from the persistent cache (no oracle call).
+    /// Whether the report came from the persistent cache (no oracle call).
     pub from_cache: bool,
 }
 
@@ -137,8 +169,10 @@ pub struct RoundProgress {
 /// The outcome of one tuning run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneReport {
-    /// The best configuration found.
-    pub best: Candidate,
+    /// The best configuration found, with its full report: read from the
+    /// tune cache when an earlier run stored it, otherwise priced once by
+    /// [`CostOracle::report`] after the search and cached.
+    pub best: Winner,
     /// Every evaluated candidate, fastest first (ties broken by first
     /// evaluation order, so reports are deterministic).
     pub ranked: Vec<Candidate>,
@@ -149,7 +183,7 @@ pub struct TuneReport {
     /// Candidates lost per pruning stage (never ranked).
     pub failed: FailedBreakdown,
     /// How many of [`FailedBreakdown::bound_pruned`] were abort-shortened
-    /// simulations ([`BoundedReport::Exceeded`]) rather than skipped
+    /// simulations ([`BoundedMakespan::Exceeded`]) rather than skipped
     /// outright on their lower bound; see [`TuneReport::pruned_bound`] for
     /// the complementary count.
     pub bounded_aborts: usize,
@@ -193,7 +227,9 @@ impl TuneReport {
         }
     }
 
-    /// A short human-readable table of the `n` best candidates.
+    /// A short human-readable table of the `n` best candidates. Only the
+    /// winner's row shows an overlap ratio: the search prices the others by
+    /// their objective value alone.
     pub fn summary(&self, n: usize) -> String {
         let mut out = format!(
             "{} candidates evaluated ({} simulated, {} cached; {})\n",
@@ -209,11 +245,15 @@ impl TuneReport {
             self.compile_patch_rate() * 100.0
         ));
         for (i, c) in self.ranked.iter().take(n).enumerate() {
+            let overlap = if i == 0 {
+                format!("overlap {:>5.1}%", self.best.report.overlap_ratio() * 100.0)
+            } else {
+                String::new()
+            };
             out.push_str(&format!(
-                "  #{:<2} {:>9.4} ms  overlap {:>5.1}%  {}\n",
+                "  #{:<2} {:>9.4} ms  {overlap:<14}  {}\n",
                 i + 1,
                 c.report.total_ms(),
-                c.report.overlap_ratio() * 100.0,
                 c.config.cache_key()
             ));
         }
@@ -317,16 +357,18 @@ pub(crate) fn timed_eval(
     oracle: &dyn CostOracle,
     cfg: &OverlapConfig,
     cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<BoundedMakespan> {
     let _span = tilelink_probe::span("tune.candidate");
     let t0 = Instant::now();
     let r = catch_unwind(AssertUnwindSafe(|| oracle.evaluate_bounded(cfg, cutoff)));
     TUNE_EVAL_US.record(t0.elapsed().as_micros() as u64);
-    r.unwrap_or_else(|_| {
-        Err(TileLinkError::InvalidConfig {
-            reason: "oracle panicked during evaluation".to_string(),
-        })
-    })
+    r.unwrap_or_else(|_| Err(oracle_panicked()))
+}
+
+fn oracle_panicked() -> TileLinkError {
+    TileLinkError::InvalidConfig {
+        reason: "oracle panicked during evaluation".to_string(),
+    }
 }
 
 impl Tuner {
@@ -642,27 +684,33 @@ impl Tuner {
         }
         drop(session);
 
+        let mut ranked = evaluated;
+        ranked.sort_by(|a, b| a.report.total_s.total_cmp(&b.report.total_s));
+        // The winner's report goes into the cache before the flush, so a warm
+        // re-tune finds it there and runs no simulation at all.
+        let best = ranked
+            .first()
+            .map(|winner| self.winner_report(oracle, &prefix, winner));
         self.cache
             .lock()
             .expect("tune cache lock poisoned")
             .flush()?;
 
-        if evaluated.is_empty() {
+        let Some(best) = best else {
             return Err(TuneError::AllCandidatesFailed {
                 attempted: stats.evaluations + stats.failed,
                 last: stats.last_error.unwrap_or(TileLinkError::InvalidConfig {
                     reason: "no candidate could be evaluated".to_string(),
                 }),
             });
-        }
+        };
+        let best = best?;
 
         TUNE_CANDIDATES_PRUNED_VALIDATE.add(pruned.validate_rejected as u64);
         TUNE_CANDIDATES_PRUNED_CONSTRAINT.add(pruned.constraint_pruned as u64);
 
-        let mut ranked = evaluated;
-        ranked.sort_by(|a, b| a.report.total_s.total_cmp(&b.report.total_s));
         Ok(TuneReport {
-            best: ranked[0].clone(),
+            best,
             ranked,
             evaluations: stats.evaluations,
             cache_hits: stats.cache_hits,
@@ -679,6 +727,41 @@ impl Tuner {
             compile_full_rebuilds: TUNE_COMPILE_FULL_REBUILDS
                 .get()
                 .saturating_sub(rebuilds_start),
+        })
+    }
+
+    /// The winner with its full report: the cached one when a report line
+    /// holds it, otherwise one [`CostOracle::report`] call (counted in
+    /// `tune.winner.reports`), cached under the winner's key.
+    fn winner_report(
+        &self,
+        oracle: &dyn CostOracle,
+        prefix: &str,
+        winner: &Candidate,
+    ) -> Result<Winner> {
+        let key = TuneCache::key_in(prefix, &winner.config);
+        let mut cache = self.cache.lock().expect("tune cache lock poisoned");
+        let cached = cache.report(&key);
+        let report = match cached {
+            Some(report) => report,
+            None => {
+                let _span = tilelink_probe::span("tune.winner_report");
+                TUNE_WINNER_REPORTS.inc();
+                let report = catch_unwind(AssertUnwindSafe(|| oracle.report(&winner.config)))
+                    .unwrap_or_else(|_| Err(oracle_panicked()))?;
+                cache.insert(key, report);
+                report
+            }
+        };
+        debug_assert_eq!(
+            report.total_s.to_bits(),
+            winner.report.total_s.to_bits(),
+            "CostOracle::report disagrees with evaluate_bounded for the winner"
+        );
+        Ok(Winner {
+            config: winner.config,
+            report,
+            from_cache: cached.is_some(),
         })
     }
 
@@ -752,7 +835,7 @@ impl Tuner {
         // lower-bound pruning; a miss carries its cached floor, if any.
         let mut misses: Vec<&OverlapConfig> = Vec::new();
         let mut floors: Vec<Option<f64>> = Vec::new();
-        let mut hit_or_miss: Vec<Option<OverlapReport>> = Vec::with_capacity(configs.len());
+        let mut hit_or_miss: Vec<Option<Priced>> = Vec::with_capacity(configs.len());
         {
             let _span = tilelink_probe::span("tune.cache_lookup");
             let cache = self.cache.lock().expect("tune cache lock poisoned");
@@ -763,11 +846,11 @@ impl Tuner {
                 }
                 let key = TuneCache::key_in(prefix, cfg);
                 match cache.get(&key) {
-                    Some(report) => {
+                    Some(priced) => {
                         stats.cache_hits += 1;
                         TUNE_CACHE_HITS.inc();
-                        incumbent.observe(report.total_s);
-                        hit_or_miss.push(Some(report));
+                        incumbent.observe(priced.total_s);
+                        hit_or_miss.push(Some(priced));
                     }
                     None => {
                         TUNE_CACHE_MISSES.inc();
@@ -807,7 +890,7 @@ impl Tuner {
 
         // Oracle pass: fan the misses out over worker threads. Results land in
         // a slot per candidate, so completion order never affects ranking.
-        let mut results: Vec<Option<tilelink::Result<BoundedReport>>> =
+        let mut results: Vec<Option<tilelink::Result<BoundedMakespan>>> =
             if self.executor.threads().min(misses.len()) <= 1 {
                 // Evaluate on this thread (its scratch is warm too) rather
                 // than paying a pool round-trip for a single candidate.
@@ -836,15 +919,14 @@ impl Tuner {
                     let result = results[miss_idx].take().expect("evaluated slot");
                     miss_idx += 1;
                     match result {
-                        Ok(BoundedReport::Report(report)) => {
+                        Ok(BoundedMakespan::Finished(total_s)) => {
                             stats.evaluations += 1;
                             TUNE_CANDIDATES_SIMULATED.inc();
-                            incumbent.observe(report.total_s);
-                            let key = TuneCache::key_in(prefix, cfg);
-                            cache.insert(key, report);
-                            (report, false)
+                            incumbent.observe(total_s);
+                            cache.insert_total(TuneCache::key_in(prefix, cfg), total_s);
+                            (Priced { total_s }, false)
                         }
-                        Ok(BoundedReport::Exceeded(floor)) => {
+                        Ok(BoundedMakespan::Exceeded(floor)) => {
                             // The objective value provably exceeds the
                             // incumbent: not ranked, never re-dispatched. The
                             // exact value is unknown, so only its certified
@@ -939,17 +1021,18 @@ mod tests {
             &self,
             cfg: &OverlapConfig,
             cutoff: f64,
-        ) -> tilelink::Result<BoundedReport> {
+        ) -> tilelink::Result<BoundedMakespan> {
             let t = toy_cost(cfg);
             if t > cutoff {
                 self.aborts.fetch_add(1, Ordering::SeqCst);
-                return Ok(BoundedReport::Exceeded(t));
+                return Ok(BoundedMakespan::Exceeded(t));
             }
-            Ok(BoundedReport::Report(OverlapReport::new(
-                t,
-                t / 3.0,
-                2.0 * t / 3.0,
-            )))
+            Ok(BoundedMakespan::Finished(t))
+        }
+
+        fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+            let t = toy_cost(cfg);
+            Ok(OverlapReport::new(t, t / 3.0, 2.0 * t / 3.0))
         }
     }
 
@@ -1056,7 +1139,9 @@ mod tests {
         assert_eq!(report.best.config.order, tilelink::TileOrder::Ring);
         assert_eq!(report.best.config.comm_mapping, CommMapping::CopyEngine);
         assert_eq!(report.best.config.num_stages, 2);
-        assert_eq!(report.evaluations, calls.load(Ordering::SeqCst));
+        // Every search evaluation plus the winner's one report call.
+        assert_eq!(report.evaluations + 1, calls.load(Ordering::SeqCst));
+        assert!(!report.best.from_cache);
         assert_eq!(report.failed.simulation_error, 0);
         assert!(report.rounds.is_empty(), "exhaustive search has no rounds");
         // Ranking is fastest-first.
@@ -1315,6 +1400,79 @@ mod tests {
         assert_eq!(second.cache_hits, first.ranked.len());
         assert_eq!(second.best.config, first.best.config);
         assert!(second.best.from_cache);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn only_the_winner_gets_a_full_report_and_a_warm_retune_reprices_nothing() {
+        let dir = std::env::temp_dir().join(format!("tilelink-tune-win-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.tsv");
+        let _ = std::fs::remove_file(&path);
+        let calls = AtomicUsize::new(0);
+        let run = || {
+            Tuner::new(Strategy::Exhaustive)
+                .with_cache(TuneCache::open(&path).unwrap())
+                .tune(&analytic(&calls), &space())
+                .unwrap()
+        };
+        let winner_reports = TUNE_WINNER_REPORTS.get();
+        let cold = run();
+        assert!(TUNE_WINNER_REPORTS.get() > winner_reports);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let report_lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.split('\t').count() == 4)
+            .collect();
+        assert_eq!(report_lines.len(), 1, "{text}");
+        assert!(report_lines[0].contains(&cold.best.config.cache_key()));
+        assert_eq!(
+            text.lines().filter(|l| l.contains("\ttotal\t")).count(),
+            cold.ranked.len() - 1
+        );
+        let t = toy_cost(&cold.best.config);
+        assert_eq!(
+            cold.best.report,
+            OverlapReport::new(t, t / 3.0, 2.0 * t / 3.0)
+        );
+        assert_eq!(cold.summary(3).matches("overlap").count(), 1);
+
+        // Warm: the winner's report line answers without an oracle call.
+        calls.store(0, Ordering::SeqCst);
+        let warm = run();
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        assert!(warm.best.from_cache);
+        assert_eq!(
+            warm.best,
+            Winner {
+                from_cache: true,
+                ..cold.best.clone()
+            }
+        );
+
+        // A file whose winner holds only a total (say, written by a search
+        // that ranked it but did not win with it) costs one report call,
+        // which is cached for the next run.
+        std::fs::write(
+            &path,
+            text.replace(
+                report_lines[0],
+                &format!(
+                    "{}\ttotal\t{:.17e}",
+                    report_lines[0].split('\t').next().unwrap(),
+                    t
+                ),
+            ),
+        )
+        .unwrap();
+        let repriced = run();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(repriced.evaluations, 0);
+        assert!(!repriced.best.from_cache);
+        assert_eq!(repriced.best.report, cold.best.report);
+        calls.store(0, Ordering::SeqCst);
+        assert!(run().best.from_cache);
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,14 +8,14 @@
 //! parent then proves the original file survived intact. Before the atomic
 //! tmp+rename fix the flush wrote straight into the destination and these
 //! tests observed a truncated — often empty — cache. The seeded files hold
-//! branch-and-bound floor lines as well as reports, so the floors must
-//! survive an interrupted flush too.
+//! all three line kinds — reports, totals and branch-and-bound floors — so
+//! every kind must survive an interrupted flush.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use tilelink::OverlapReport;
-use tilelink_tune::{cache::FLUSH_ABORT_ENV, TuneCache};
+use tilelink_tune::{cache::FLUSH_ABORT_ENV, Priced, TuneCache};
 
 /// Tells a child invocation which cache file to operate on. The child tests
 /// are inert when this is unset, so a plain `cargo test` never runs them.
@@ -40,7 +40,8 @@ fn run_child(child_test: &str, cache_path: &std::path::Path, abort_point: Option
     cmd.status().unwrap().success()
 }
 
-/// Child body: open the cache, insert a batch of entries and floors, flush.
+/// Child body: open the cache, insert a batch of reports, totals and floors,
+/// flush.
 /// With the abort hook armed the flush never returns.
 #[test]
 fn child_insert_and_flush() {
@@ -53,6 +54,7 @@ fn child_insert_and_flush() {
             format!("child-key-{i:03}"),
             OverlapReport::new(2.0 + i as f64, 1.0, 1.5),
         );
+        cache.insert_total(format!("child-total-{i:03}"), 3.0 + i as f64);
         cache.record_floor(format!("child-floor-{i:03}"), 4.0 + i as f64);
     }
     cache.flush().unwrap();
@@ -66,6 +68,7 @@ fn seed_cache(path: &std::path::Path, n: usize) -> TuneCache {
             format!("seed-key-{i:03}"),
             OverlapReport::new(1.0 + i as f64, 0.5, 0.75),
         );
+        cache.insert_total(format!("seed-total-{i:03}"), 2.0 + i as f64);
         cache.record_floor(format!("seed-floor-{i:03}"), 3.0 + i as f64);
     }
     cache.flush().unwrap();
@@ -80,13 +83,22 @@ fn assert_seed_intact(path: &std::path::Path, n: usize) {
             "seed entry {i} lost after interrupted flush"
         );
         assert_eq!(
+            reloaded.get(&format!("seed-total-{i:03}")),
+            Some(Priced {
+                total_s: 2.0 + i as f64
+            }),
+            "seed total {i} lost after interrupted flush"
+        );
+        assert_eq!(
             reloaded.floor(&format!("seed-floor-{i:03}")),
             Some(3.0 + i as f64),
             "seed floor {i} lost after interrupted flush"
         );
     }
     assert!(
-        reloaded.get("child-key-000").is_none() && reloaded.floor("child-floor-000").is_none(),
+        reloaded.get("child-key-000").is_none()
+            && reloaded.get("child-total-000").is_none()
+            && reloaded.floor("child-floor-000").is_none(),
         "the interrupted flush must not have landed"
     );
 }
@@ -144,6 +156,13 @@ fn concurrent_tuner_process_entries_survive_parent_flush() {
         assert!(
             merged.get(&format!("child-key-{i:03}")).is_some(),
             "entry {i} written by the concurrent tuner process was clobbered"
+        );
+        assert_eq!(
+            merged.get(&format!("child-total-{i:03}")),
+            Some(Priced {
+                total_s: 3.0 + i as f64
+            }),
+            "total {i} written by the concurrent tuner process was clobbered"
         );
         assert_eq!(
             merged.floor(&format!("child-floor-{i:03}")),

@@ -14,9 +14,9 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tilelink::exec::{simulate_report_bounded_with, BoundedReport};
+use tilelink::exec::simulate_makespan_bounded_with;
 use tilelink::{CompiledKernel, OverlapConfig, OverlapReport};
-use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
+use tilelink_sim::{analytic_cost, BoundedMakespan, ClusterSpec, SharedCost};
 use tilelink_tune::{
     CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache, TuneReport, Tuner,
 };
@@ -79,8 +79,8 @@ impl fmt::Display for RoutingSpec {
 // Oracles
 // ---------------------------------------------------------------------------
 
-/// Prices a two-half layer — `first`, the activation (`act` seconds), then
-/// `second` — against `cutoff` on the layer total.
+/// Prices the total of a two-half layer — `first`, the activation (`act`
+/// seconds), then `second` — against `cutoff`.
 ///
 /// The cutoff is threaded through both halves as a *residual budget*: the
 /// first half aborts once its makespan plus `act` and `second_lb` (an
@@ -89,7 +89,8 @@ impl fmt::Display for RoutingSpec {
 /// cutoff, which skips the second half's compile and simulation; otherwise the
 /// second half aborts once the running total does. An `Exceeded` clock is
 /// therefore a certified lower bound on the layer total, and with an infinite
-/// cutoff the report is bit-identical to simulating both halves unbounded.
+/// cutoff the total is bit-identical to the `total_s` of the two halves'
+/// reports composed (first + second + activation).
 fn price_two_halves(
     cost: &SharedCost,
     first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
@@ -97,24 +98,22 @@ fn price_two_halves(
     act: f64,
     second_lb: f64,
     cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
-    let first = match simulate_report_bounded_with(&first()?, cost, cutoff - act - second_lb)? {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(clock + second_lb + act))
+) -> tilelink::Result<BoundedMakespan> {
+    let first = match simulate_makespan_bounded_with(&first()?, cost, cutoff - act - second_lb)? {
+        BoundedMakespan::Finished(total) => total,
+        BoundedMakespan::Exceeded(clock) => {
+            return Ok(BoundedMakespan::Exceeded(clock + second_lb + act))
         }
     };
-    if first.total_s + second_lb + act > cutoff {
-        return Ok(BoundedReport::Exceeded(first.total_s + second_lb + act));
+    if first + second_lb + act > cutoff {
+        return Ok(BoundedMakespan::Exceeded(first + second_lb + act));
     }
-    let second = match simulate_report_bounded_with(&second()?, cost, cutoff - act - first.total_s)?
-    {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(first.total_s + clock + act))
-        }
-    };
-    Ok(BoundedReport::Report(crate::two_halves(first, second, act)))
+    Ok(
+        match simulate_makespan_bounded_with(&second()?, cost, cutoff - act - first)? {
+            BoundedMakespan::Finished(second) => BoundedMakespan::Finished(first + second + act),
+            BoundedMakespan::Exceeded(clock) => BoundedMakespan::Exceeded(first + clock + act),
+        },
+    )
 }
 
 /// Prices one config for the full tensor-parallel MLP layer (both halves plus
@@ -171,7 +170,7 @@ impl CostOracle for MlpOracle {
         &self,
         cfg: &OverlapConfig,
         cutoff: f64,
-    ) -> tilelink::Result<BoundedReport> {
+    ) -> tilelink::Result<BoundedMakespan> {
         price_two_halves(
             &self.cost,
             || mlp::compile_ag_gemm(&self.shape, cfg, &self.cost),
@@ -180,6 +179,14 @@ impl CostOracle for MlpOracle {
             bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost),
             cutoff,
         )
+    }
+
+    fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+        Ok(crate::two_halves(
+            mlp::timed_ag_gemm_with(&self.shape, cfg, &self.cost)?,
+            mlp::timed_gemm_rs_with(&self.shape, cfg, &self.cost)?,
+            mlp::activation_seconds_with(&self.shape, &*self.cost),
+        ))
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -238,9 +245,13 @@ impl CostOracle for MlpAgGemmOracle {
         &self,
         cfg: &OverlapConfig,
         cutoff: f64,
-    ) -> tilelink::Result<BoundedReport> {
+    ) -> tilelink::Result<BoundedMakespan> {
         let kernel = mlp::compile_ag_gemm(&self.shape, cfg, &self.cost)?;
-        simulate_report_bounded_with(&kernel, &self.cost, cutoff)
+        simulate_makespan_bounded_with(&kernel, &self.cost, cutoff)
+    }
+
+    fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+        mlp::timed_ag_gemm_with(&self.shape, cfg, &self.cost)
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -347,7 +358,7 @@ impl CostOracle for MoeOracle {
         &self,
         cfg: &OverlapConfig,
         cutoff: f64,
-    ) -> tilelink::Result<BoundedReport> {
+    ) -> tilelink::Result<BoundedMakespan> {
         let act = moe::activation_seconds_with(&self.shape, &*self.cost);
         let second_lb = bounds::moe_second_bound(&self.shape, cfg, &*self.cost);
         let Some(spec) = &self.routing else {
@@ -372,9 +383,9 @@ impl CostOracle for MoeOracle {
             )
         };
 
-        let sampler = spec.sampler();
         let n = spec.samples.max(1);
-        let samples = sampler.samples_for(&self.shape, n);
+        let samples = spec.sampler().samples_for(&self.shape, n);
+        let mut totals = Vec::with_capacity(n);
         match self.objective {
             Objective::Mean => {
                 // Sample i gets the budget that keeps the *mean* beatable:
@@ -384,80 +395,77 @@ impl CostOracle for MoeOracle {
                 let lb_sample = self
                     .lower_bound(cfg)
                     .expect("moe oracle always has a bound");
-                let mut reports = Vec::with_capacity(n);
                 let mut sum = 0.0;
                 for (i, sample) in samples.iter().enumerate() {
                     let remaining_lb = (n - 1 - i) as f64 * lb_sample;
                     let budget = n as f64 * cutoff - sum - remaining_lb;
                     match price_sample(sample, budget)? {
-                        BoundedReport::Report(report) => {
-                            sum += report.total_s;
-                            reports.push(report);
+                        BoundedMakespan::Finished(total) => {
+                            sum += total;
+                            totals.push(total);
                         }
-                        BoundedReport::Exceeded(clock) => {
-                            return Ok(BoundedReport::Exceeded(
+                        BoundedMakespan::Exceeded(clock) => {
+                            return Ok(BoundedMakespan::Exceeded(
                                 (sum + clock + remaining_lb) / n as f64,
                             ))
                         }
                     }
                 }
-                Ok(BoundedReport::Report(self.objective.fold_reports(&reports)))
+                Ok(BoundedMakespan::Finished(self.objective.fold(&totals)))
             }
-            Objective::WorstCase => {
-                // The fold is the slowest sample: the first abort already
-                // certifies worst > cutoff.
-                let mut reports = Vec::with_capacity(n);
-                for sample in &samples {
-                    match price_sample(sample, cutoff)? {
-                        BoundedReport::Report(report) => reports.push(report),
-                        BoundedReport::Exceeded(clock) => {
-                            return Ok(BoundedReport::Exceeded(clock))
-                        }
-                    }
-                }
-                Ok(BoundedReport::Report(self.objective.fold_reports(&reports)))
-            }
-            Objective::Percentile(_) => {
-                // Nearest-rank order statistic at sorted index `pick`:
-                // aborted samples (total > cutoff) sort strictly above every
-                // finished one (total <= cutoff), so as long as at most
-                // n - 1 - pick samples abort the pick falls inside the
-                // finished prefix and folding it is bit-identical to the
-                // unbounded fold. With more aborts the folded value is itself
-                // an aborted sample's total, which every aborted clock floors.
+            Objective::Percentile(_) | Objective::WorstCase => {
+                // Nearest-rank order statistic at sorted index `pick`
+                // (worst case: the last). Aborted samples (total > cutoff)
+                // sort strictly above every finished one (total <= cutoff),
+                // so while at most n - 1 - pick samples abort the pick falls
+                // inside the finished prefix and is bit-identical to the
+                // unbounded fold. One abort more certifies the fold: of
+                // n - pick samples above the cutoff at least one sits at or
+                // below the pick index, so the folded value is at least the
+                // smallest aborted clock — and pricing stops right there
+                // (for p95 over 8 samples, and the worst case, at the first
+                // abort).
                 let pick = self
                     .objective
                     .sorted_pick_index(n)
-                    .expect("percentile picks a sample");
+                    .expect("order statistics pick a sample");
                 let allowed_aborts = n - 1 - pick;
-                let mut finished = Vec::with_capacity(n);
-                let mut aborted_floor = f64::INFINITY;
                 let mut aborts = 0usize;
+                let mut aborted_floor = f64::INFINITY;
                 for sample in &samples {
                     match price_sample(sample, cutoff)? {
-                        BoundedReport::Report(report) => finished.push(report),
-                        BoundedReport::Exceeded(clock) => {
+                        BoundedMakespan::Finished(total) => totals.push(total),
+                        BoundedMakespan::Exceeded(clock) => {
                             aborts += 1;
                             aborted_floor = aborted_floor.min(clock);
+                            if aborts > allowed_aborts {
+                                return Ok(BoundedMakespan::Exceeded(aborted_floor));
+                            }
                         }
                     }
                 }
-                if aborts > allowed_aborts {
-                    return Ok(BoundedReport::Exceeded(aborted_floor));
-                }
-                if aborts == 0 {
-                    return Ok(BoundedReport::Report(
-                        self.objective.fold_reports(&finished),
-                    ));
-                }
-                // Pick within the finished prefix: identical order statistic
-                // (stable sort, and finished totals never tie with aborted
-                // ones), without re-simulating the aborted samples.
-                let mut order: Vec<usize> = (0..finished.len()).collect();
-                order.sort_by(|&a, &b| finished[a].total_s.total_cmp(&finished[b].total_s));
-                Ok(BoundedReport::Report(finished[order[pick]]))
+                totals.sort_by(f64::total_cmp);
+                Ok(BoundedMakespan::Finished(totals[pick]))
             }
         }
+    }
+
+    fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+        let act = moe::activation_seconds_with(&self.shape, &*self.cost);
+        let Some(spec) = &self.routing else {
+            return Ok(crate::two_halves(
+                moe::timed_ag_group_gemm_with(&self.shape, cfg, &self.cost)?,
+                moe::timed_group_gemm_rs_with(&self.shape, cfg, &self.cost)?,
+                act,
+            ));
+        };
+        let reports = spec
+            .sampler()
+            .samples_for(&self.shape, spec.samples.max(1))
+            .iter()
+            .map(|sample| moe::timed_routed_full_moe_with(&self.shape, cfg, &self.cost, sample))
+            .collect::<tilelink::Result<Vec<_>>>()?;
+        Ok(self.objective.fold_reports(&reports))
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -514,10 +522,15 @@ impl CostOracle for AttentionOracle {
         &self,
         cfg: &OverlapConfig,
         cutoff: f64,
-    ) -> tilelink::Result<BoundedReport> {
+    ) -> tilelink::Result<BoundedMakespan> {
         let kernel = attention::compile_sp_attention(&self.shape, self.seq_len, cfg, &self.cost)?;
-        simulate_report_bounded_with(&kernel, &self.cost, cutoff)
+        simulate_makespan_bounded_with(&kernel, &self.cost, cutoff)
     }
+
+    fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+        attention::timed_sp_attention_with(&self.shape, self.seq_len, cfg, &self.cost)
+    }
+
     fn is_supported(&self, _cfg: &OverlapConfig) -> bool {
         self.seq_len.is_multiple_of(self.cluster().world_size())
     }
@@ -768,13 +781,9 @@ mod tests {
     use super::*;
     use tilelink::TileShape;
 
-    /// The oracle's exact (infinite-cutoff) report for `cfg`.
+    /// The oracle's exact report for `cfg`.
     fn evaluate(oracle: &dyn CostOracle, cfg: &OverlapConfig) -> OverlapReport {
-        oracle
-            .evaluate_bounded(cfg, f64::INFINITY)
-            .unwrap()
-            .report()
-            .expect("an infinite cutoff is never exceeded")
+        oracle.report(cfg).unwrap()
     }
 
     /// A compact space that keeps test runtimes low while still exercising

@@ -12,9 +12,13 @@
 //!   winning makespans;
 //! * the raw bound invariant `lower_bound(cfg) <= total_s` (or the folded
 //!   objective value) for every candidate in the space;
-//! * infinite-cutoff parity: `evaluate_bounded(cfg, ∞)` is bit-identical to a
-//!   reference report built here from the unbounded per-kernel functions, so
-//!   an oracle is never checked against itself;
+//! * infinite-cutoff parity: `report(cfg)` is bit-identical to a reference
+//!   report built here from the unbounded per-kernel functions, so an oracle
+//!   is never checked against itself, and `evaluate_bounded(cfg, ∞)` is
+//!   bit-identical to that report's `total_s`;
+//! * percentile folds stop pricing samples at the abort that decides them,
+//!   with a floor no larger than the exact fold, and fold bit-identically
+//!   while no more samples abort than the order statistic allows;
 //! * warm re-tunes: the floors a bounded search certifies and caches let a
 //!   re-tune from the same cache file rank bit-identically without a single
 //!   simulation, and floors cached under a tight cutoff never change the
@@ -27,15 +31,14 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use tilelink::exec::BoundedReport;
 use tilelink::{CommMapping, OverlapConfig, OverlapReport, TileShape};
-use tilelink_probe::metrics::SIM_MAKESPAN_RUNS;
-use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec, SharedCost};
+use tilelink_probe::metrics::{SIM_MAKESPAN_RUNS, TUNE_WINNER_REPORTS};
+use tilelink_sim::{analytic_cost, BoundedMakespan, CalibratedCostModel, ClusterSpec, SharedCost};
 use tilelink_tune::{
     CostOracle, Objective, SearchSpace, Strategy, TuneCache, TuneReport, Tuner, RING_REQUIRES_PUSH,
 };
 use tilelink_workloads::autotune::{AttentionOracle, MlpOracle, MoeOracle};
-use tilelink_workloads::{attention, mlp, moe, MlpShape, RoutingProfile, RoutingSpec};
+use tilelink_workloads::{attention, mlp, moe, MlpShape, MoeShape, RoutingProfile, RoutingSpec};
 
 /// Serialises the tests of this file (see the module docs).
 fn serial() -> MutexGuard<'static, ()> {
@@ -115,6 +118,36 @@ fn mlp_reference<'a>(
     }
 }
 
+/// An exact reference pricing, built independently of the oracles.
+type Reference<'a> = Box<dyn Fn(&OverlapConfig) -> OverlapReport + 'a>;
+
+/// Checks the oracle's two pricing paths for `cfg` against `reference` (the
+/// exact report, built independently of the oracle): `report` equals it
+/// field for field and `evaluate_bounded` at an infinite cutoff finishes on
+/// its `total_s`, bit for bit.
+fn assert_total_matches_report(
+    oracle: &dyn CostOracle,
+    cfg: &OverlapConfig,
+    reference: OverlapReport,
+) {
+    assert_eq!(
+        oracle.report(cfg).expect("report succeeds"),
+        reference,
+        "report diverged from the reference for {cfg:?}"
+    );
+    match oracle
+        .evaluate_bounded(cfg, f64::INFINITY)
+        .expect("bounded eval succeeds")
+    {
+        BoundedMakespan::Finished(total) => assert_eq!(
+            total.to_bits(),
+            reference.total_s.to_bits(),
+            "infinite-cutoff objective value diverged for {cfg:?}"
+        ),
+        BoundedMakespan::Exceeded(_) => panic!("infinite cutoff aborted for {cfg:?}"),
+    }
+}
+
 /// Drives one oracle through one sub-space with pruning on and off and checks
 /// the full admissibility contract. `reference` prices a candidate exactly,
 /// independently of the oracle.
@@ -134,16 +167,7 @@ fn assert_admissible<O: CostOracle>(
                 report.total_s
             );
         }
-        match oracle
-            .evaluate_bounded(&cfg, f64::INFINITY)
-            .expect("bounded eval succeeds")
-        {
-            BoundedReport::Report(bounded) => assert_eq!(
-                bounded, report,
-                "infinite-cutoff evaluation diverged for {cfg:?}"
-            ),
-            BoundedReport::Exceeded(_) => panic!("infinite cutoff aborted for {cfg:?}"),
-        }
+        assert_total_matches_report(oracle, &cfg, report);
     }
 
     let bounded = Tuner::new(strategy)
@@ -154,13 +178,13 @@ fn assert_admissible<O: CostOracle>(
         .tune(oracle, space)
         .expect("unbounded search succeeds");
 
-    // (b) bit-identical winners and makespans.
-    assert_eq!(bounded.best.config, unbounded.best.config);
+    // (b) bit-identical winners and winner reports.
     assert_eq!(
-        bounded.best.report.total_s.to_bits(),
-        unbounded.best.report.total_s.to_bits(),
-        "winning makespan changed under pruning"
+        winner(&bounded),
+        winner(&unbounded),
+        "winner changed under pruning"
     );
+    assert_eq!(bounded.best.report, reference(&bounded.best.config));
 
     // (a) every candidate the bounded search did not rank (bound-pruned or
     // abort-short) force-simulates no better than the winner. Only meaningful
@@ -236,7 +260,6 @@ fn routed_moe_pruning_is_admissible_for_tail_objectives() {
         ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
     };
     let cost = analytic_cost(&cluster);
-    let samples = spec.sampler().samples_for(&shape, spec.samples);
     for objective in [
         Objective::Mean,
         Objective::Percentile(67),
@@ -245,18 +268,7 @@ fn routed_moe_pruning_is_admissible_for_tail_objectives() {
         let oracle = MoeOracle::new(shape.clone(), cluster.clone())
             .with_routing(spec)
             .with_objective(objective);
-        // Each sampled routing priced by the unbounded routed layer, then
-        // folded by the objective.
-        let reference = |cfg: &OverlapConfig| {
-            let reports: Vec<OverlapReport> = samples
-                .iter()
-                .map(|sample| {
-                    moe::timed_routed_full_moe_with(&shape, cfg, &cost, sample)
-                        .expect("routed layer simulates")
-                })
-                .collect();
-            objective.fold_reports(&reports)
-        };
+        let reference = routed_reference(&shape, &cost, spec, objective);
         assert_admissible(&oracle, reference, &space, Strategy::Exhaustive);
     }
 }
@@ -315,6 +327,245 @@ fn attention_bounded_simulation_is_admissible_under_both_cost_models() {
     assert!(aborted_total > 0, "attention never aborted a simulation");
 }
 
+/// The full MoE layer (expected routing) priced by the unbounded per-half
+/// functions.
+fn moe_reference<'a>(
+    shape: &'a MoeShape,
+    cost: &'a SharedCost,
+) -> impl Fn(&OverlapConfig) -> OverlapReport + 'a {
+    move |cfg| {
+        let first = moe::timed_ag_group_gemm_with(shape, cfg, cost).expect("first half");
+        let second = moe::timed_group_gemm_rs_with(shape, cfg, cost).expect("second half");
+        let act = moe::activation_seconds_with(shape, &**cost);
+        OverlapReport::new(
+            first.total_s + second.total_s + act,
+            first.comm_only_s + second.comm_only_s,
+            first.comp_only_s + second.comp_only_s + act,
+        )
+    }
+}
+
+/// Each sampled routing priced by the unbounded routed layer, then folded by
+/// the objective.
+fn routed_reference<'a>(
+    shape: &'a MoeShape,
+    cost: &'a SharedCost,
+    spec: RoutingSpec,
+    objective: Objective,
+) -> impl Fn(&OverlapConfig) -> OverlapReport + 'a {
+    let samples = spec.sampler().samples_for(shape, spec.samples);
+    move |cfg| {
+        let reports: Vec<OverlapReport> = samples
+            .iter()
+            .map(|sample| {
+                moe::timed_routed_full_moe_with(shape, cfg, cost, sample)
+                    .expect("routed layer simulates")
+            })
+            .collect();
+        objective.fold_reports(&reports)
+    }
+}
+
+#[test]
+fn both_pricing_paths_agree_for_every_oracle_and_cost_model() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let mlp = tilelink_workloads::shapes::mlp_shapes()[0].clone();
+    let moe = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let attn = tilelink_workloads::shapes::attn_shapes()[0].clone();
+    let seq_len = attn.seq_lens[0];
+    let spec = RoutingSpec {
+        samples: 3,
+        ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
+    };
+    let configs = [
+        OverlapConfig::default(),
+        OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine),
+        OverlapConfig::default()
+            .with_compute_tile(TileShape::new(256, 256))
+            .with_comm_mapping(CommMapping::Hybrid { sms: 16 }),
+    ];
+    let mut checked = 0;
+    for (_, cost) in providers(&cluster) {
+        let mut cases: Vec<(Box<dyn CostOracle>, Reference<'_>)> = vec![
+            (
+                Box::new(MlpOracle::new(mlp.clone(), cluster.clone()).with_cost(cost.clone())),
+                Box::new(mlp_reference(&mlp, &cost)),
+            ),
+            (
+                Box::new(MoeOracle::new(moe.clone(), cluster.clone()).with_cost(cost.clone())),
+                Box::new(moe_reference(&moe, &cost)),
+            ),
+            (
+                Box::new(
+                    AttentionOracle::new(attn.clone(), seq_len, cluster.clone())
+                        .with_cost(cost.clone()),
+                ),
+                Box::new(|cfg: &OverlapConfig| {
+                    attention::timed_sp_attention_with(&attn, seq_len, cfg, &cost)
+                        .expect("attention simulates")
+                }),
+            ),
+        ];
+        for objective in [
+            Objective::Mean,
+            Objective::Percentile(95),
+            Objective::WorstCase,
+        ] {
+            cases.push((
+                Box::new(
+                    MoeOracle::new(moe.clone(), cluster.clone())
+                        .with_cost(cost.clone())
+                        .with_routing(spec)
+                        .with_objective(objective),
+                ),
+                Box::new(routed_reference(&moe, &cost, spec, objective)),
+            ));
+        }
+        for (oracle, reference) in &cases {
+            for cfg in &configs {
+                if oracle.is_supported(cfg) {
+                    assert_total_matches_report(&**oracle, cfg, reference(cfg));
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked >= 30, "only {checked} cases checked");
+}
+
+/// Cutoffs strictly between the distinct sorted sample totals, one below
+/// the smallest and one above the largest. A cutoff equal to a sample's total
+/// is avoided: the residual budgets of the two halves round, so such a
+/// sample may abort on the tie.
+fn cutoffs_between(sorted: &[f64]) -> Vec<f64> {
+    let mut cutoffs = vec![sorted[0] * 0.5];
+    cutoffs.extend(
+        sorted
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| 0.5 * (w[0] + w[1])),
+    );
+    cutoffs.push(sorted[sorted.len() - 1] * 2.0);
+    cutoffs
+}
+
+/// Per-sample layer totals of a routed MoE oracle's samples, in sample order.
+fn sample_totals(
+    shape: &MoeShape,
+    cost: &SharedCost,
+    spec: RoutingSpec,
+    cfg: &OverlapConfig,
+) -> Vec<f64> {
+    spec.sampler()
+        .samples_for(shape, spec.samples)
+        .iter()
+        .map(|sample| {
+            moe::timed_routed_full_moe_with(shape, cfg, cost, sample)
+                .expect("routed layer simulates")
+                .total_s
+        })
+        .collect()
+}
+
+#[test]
+fn p95_over_eight_samples_stops_pricing_at_its_first_abort() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let cost = analytic_cost(&cluster);
+    let spec = RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 });
+    assert_eq!(spec.samples, 8);
+    let cfg = OverlapConfig::default();
+    let oracle = MoeOracle::new(shape.clone(), cluster)
+        .with_routing(spec)
+        .with_objective(Objective::Percentile(95));
+    // Nearest-rank p95 of 8 samples is the largest: no abort is allowed.
+    assert_eq!(Objective::Percentile(95).sorted_pick_index(8), Some(7));
+    let exact = oracle.report(&cfg).expect("report").total_s;
+    let totals = sample_totals(&shape, &cost, spec, &cfg);
+    let mut sorted = totals.clone();
+    sorted.sort_by(f64::total_cmp);
+    assert_eq!(exact.to_bits(), sorted[7].to_bits());
+
+    let mut aborted = 0;
+    for cutoff in cutoffs_between(&sorted) {
+        // The first sample (in pricing order) whose total exceeds the cutoff
+        // decides the fold; every sample before it finishes both halves.
+        let first_abort = totals.iter().position(|&t| t > cutoff);
+        let runs = SIM_MAKESPAN_RUNS.get();
+        let outcome = oracle.evaluate_bounded(&cfg, cutoff).expect("bounded eval");
+        let used = SIM_MAKESPAN_RUNS.get() - runs;
+        let Some(first_abort) = first_abort else {
+            // Nothing aborts: all 8 samples, bit-identical fold.
+            assert_eq!(used, 16, "cutoff {cutoff}");
+            assert_eq!(outcome, BoundedMakespan::Finished(exact));
+            continue;
+        };
+        let finished = 2 * first_abort as u64;
+        assert!(
+            (finished + 1..=finished + 2).contains(&used),
+            "cutoff {cutoff}: {used} simulations, first abort at sample {first_abort}"
+        );
+        match outcome {
+            BoundedMakespan::Exceeded(floor) => assert!(
+                cutoff < floor && floor <= exact,
+                "floor {floor} outside ({cutoff}, {exact}]"
+            ),
+            BoundedMakespan::Finished(total) => panic!("cutoff {cutoff} finished at {total}"),
+        }
+        aborted += 1;
+    }
+    assert!(aborted >= 2, "only {aborted} cutoffs aborted");
+}
+
+#[test]
+fn p50_folds_bit_identically_while_aborts_stay_within_its_allowance() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let cost = analytic_cost(&cluster);
+    let spec = RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 });
+    let cfg = OverlapConfig::default();
+    let objective = Objective::Percentile(50);
+    let oracle = MoeOracle::new(shape.clone(), cluster)
+        .with_routing(spec)
+        .with_objective(objective);
+    let pick = objective.sorted_pick_index(8).expect("percentile picks");
+    let allowed = 7 - pick;
+    let exact = oracle.report(&cfg).expect("report").total_s;
+    let mut sorted = sample_totals(&shape, &cost, spec, &cfg);
+    sorted.sort_by(f64::total_cmp);
+    assert_eq!(exact.to_bits(), sorted[pick].to_bits());
+    let mut folded_with_aborts = 0;
+    for cutoff in cutoffs_between(&sorted) {
+        let aborts = sorted.iter().filter(|&&t| t > cutoff).count();
+        match oracle.evaluate_bounded(&cfg, cutoff).expect("bounded eval") {
+            BoundedMakespan::Finished(total) => {
+                assert!(aborts <= allowed, "cutoff {cutoff}: {aborts} aborts folded");
+                assert_eq!(total.to_bits(), exact.to_bits(), "cutoff {cutoff}");
+                if aborts > 0 {
+                    folded_with_aborts += 1;
+                }
+            }
+            BoundedMakespan::Exceeded(floor) => {
+                assert!(
+                    aborts > allowed,
+                    "cutoff {cutoff}: {aborts} aborts certified"
+                );
+                assert!(
+                    cutoff < floor && floor <= exact,
+                    "floor {floor} outside ({cutoff}, {exact}]"
+                );
+            }
+        }
+    }
+    assert!(
+        folded_with_aborts >= 2,
+        "{folded_with_aborts} folds with aborts"
+    );
+}
+
 /// A fresh cache file for one test case.
 fn cache_file(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tilelink-admissibility-{}", std::process::id()));
@@ -340,28 +591,38 @@ fn tune_with_cache<O: CostOracle>(
 
 /// The ranking as (config, objective-value bits) pairs; `from_cache`
 /// legitimately differs between a cold and a warm run.
-fn ranking(report: &TuneReport) -> Vec<(OverlapConfig, [u64; 3])> {
+fn ranking(report: &TuneReport) -> Vec<(OverlapConfig, u64)> {
     report
         .ranked
         .iter()
-        .map(|c| {
-            let r = c.report;
-            (
-                c.config,
-                [
-                    r.total_s.to_bits(),
-                    r.comm_only_s.to_bits(),
-                    r.comp_only_s.to_bits(),
-                ],
-            )
-        })
+        .map(|c| (c.config, c.report.total_s.to_bits()))
         .collect()
 }
 
+/// The winner with the bits of its full report (the search prices the
+/// comm-only and compute-only split for the winner only).
+fn winner(report: &TuneReport) -> (OverlapConfig, [u64; 3]) {
+    let r = report.best.report;
+    assert_eq!(report.ranked[0].config, report.best.config);
+    assert_eq!(
+        report.ranked[0].report.total_s.to_bits(),
+        r.total_s.to_bits()
+    );
+    (
+        report.best.config,
+        [
+            r.total_s.to_bits(),
+            r.comm_only_s.to_bits(),
+            r.comp_only_s.to_bits(),
+        ],
+    )
+}
+
 /// Cold-tunes `oracle` into a fresh cache file, re-tunes from it, and checks
-/// that the warm run ranks bit-identically without simulating, that its
-/// winner is the unbounded search's, and that an unbounded re-tune from the
-/// same file ignores the floors. Returns the warm run's floor prunes.
+/// that the cold run wrote a full report line for its winner only, that the
+/// warm run ranks bit-identically without simulating, that its winner is the
+/// unbounded search's, and that an unbounded re-tune from the same file
+/// ignores the floors. Returns the warm run's floor prunes.
 fn assert_warm_retune_is_free<O: CostOracle>(
     name: &str,
     oracle: &O,
@@ -369,7 +630,24 @@ fn assert_warm_retune_is_free<O: CostOracle>(
     strategy: Strategy,
 ) -> usize {
     let path = cache_file(name);
+    let winner_reports = TUNE_WINNER_REPORTS.get();
     let cold = tune_with_cache(oracle, space, strategy, &path, true);
+    assert_eq!(TUNE_WINNER_REPORTS.get(), winner_reports + 1, "{name}");
+    assert!(!cold.best.from_cache, "{name}");
+    // Only the winner has a full report line; every other ranked candidate
+    // is cached as a total.
+    let prefix = TuneCache::key_prefix(
+        &oracle.workload_key(),
+        &tilelink_tune::cluster_key(oracle.cluster()),
+        &oracle.cost_revision(),
+        &oracle.objective().key(),
+    );
+    let file = TuneCache::open(&path).expect("cache opens");
+    for (i, c) in cold.ranked.iter().enumerate() {
+        let key = TuneCache::key_in(&prefix, &c.config);
+        assert_eq!(file.report(&key).is_some(), i == 0, "{name}: rank {i}");
+        assert_eq!(file.get(&key), Some(c.report), "{name}: rank {i}");
+    }
     let runs = SIM_MAKESPAN_RUNS.get();
     let warm = tune_with_cache(oracle, space, strategy, &path, true);
     assert_eq!(
@@ -377,6 +655,8 @@ fn assert_warm_retune_is_free<O: CostOracle>(
         runs,
         "{name}: the warm re-tune simulated"
     );
+    assert_eq!(TUNE_WINNER_REPORTS.get(), winner_reports + 1, "{name}");
+    assert!(warm.best.from_cache, "{name}");
     assert_eq!(warm.evaluations, 0, "{name}");
     assert_eq!(warm.bounded_aborts, 0, "{name}");
     assert_eq!(
@@ -384,6 +664,7 @@ fn assert_warm_retune_is_free<O: CostOracle>(
         ranking(&cold),
         "{name}: warm ranking differs"
     );
+    assert_eq!(winner(&warm), winner(&cold), "{name}: warm winner differs");
     assert_eq!(warm.failed, cold.failed, "{name}: disposals differ");
     assert_eq!(warm.rounds.len(), cold.rounds.len(), "{name}");
 
@@ -391,7 +672,7 @@ fn assert_warm_retune_is_free<O: CostOracle>(
         .with_pruning(false)
         .tune(oracle, space)
         .expect("unbounded search succeeds");
-    assert_eq!(ranking(&warm)[0], ranking(&unbounded)[0], "{name}: winner");
+    assert_eq!(winner(&warm), winner(&unbounded), "{name}: winner");
     // Floors only ever prune: without pruning they are ignored, and the
     // cached reports are bit-identical to fresh simulations.
     let warm_unbounded = tune_with_cache(oracle, space, strategy, &path, false);
@@ -525,13 +806,9 @@ fn floors_from_a_narrow_beam_never_change_a_wider_search_winner() {
                     .unwrap();
                 let uncached = Tuner::new(strategy).tune(&**oracle, &space).unwrap();
                 assert_eq!(
-                    reader.best.config, uncached.best.config,
+                    winner(&reader),
+                    winner(&uncached),
                     "{name}/{cost_name}/{strategy:?}: floors changed the winner"
-                );
-                assert_eq!(
-                    reader.best.report.total_s.to_bits(),
-                    uncached.best.report.total_s.to_bits(),
-                    "{name}/{cost_name}/{strategy:?}"
                 );
                 eprintln!(
                     "{name}/{cost_name}/{strategy:?}: {} floor-pruned",

@@ -8,17 +8,21 @@
 //! of the standard space, compiling the neighbour against a cache warmed by
 //! the base must produce the same compiled kernel, the same task graph and a
 //! bit-identical overlap report as a cold compile of the neighbour alone,
-//! under both cost models.
+//! under both cost models. The search prices those chains by their total
+//! alone, so the total-only path must also agree bit for bit with the
+//! report's `total_s` — per kernel and through every oracle.
 
-use tilelink::exec::{simulate_report_with, task_graph};
+use tilelink::exec::{simulate_makespan_bounded_with, simulate_report_with, task_graph};
 use tilelink::{
     reset_compile_cache, CacheSite, CommMapping, CompiledKernel, Compiler, OverlapConfig,
     OverlapReport, TileOrder, TileShape, TransferMode,
 };
-use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec, SharedCost};
+use tilelink_sim::{analytic_cost, BoundedMakespan, CalibratedCostModel, ClusterSpec, SharedCost};
+use tilelink_tune::{CostOracle, Objective};
+use tilelink_workloads::autotune::{AttentionOracle, MlpOracle, MoeOracle};
 use tilelink_workloads::moe::{ag_group_gemm_program, group_gemm_rs_program};
-use tilelink_workloads::shapes::moe_shapes;
-use tilelink_workloads::MoeShape;
+use tilelink_workloads::shapes::{attn_shapes, mlp_shapes, moe_shapes};
+use tilelink_workloads::{MoeShape, RoutingProfile, RoutingSpec};
 
 /// Every axis-neighbour of `base` in the standard space: for each of the
 /// seven axes, each candidate value of that axis with all other axes held at
@@ -94,6 +98,30 @@ fn compile_kernel(
     }
 }
 
+/// The neighbours a search actually visits: valid on the GPU, and no ring
+/// schedule without push (ring schedules forward partials to a neighbour,
+/// which is inherently a push; the standard space prunes ring+pull the same
+/// way).
+fn searchable_neighbours(base: &OverlapConfig, sm_count: u64) -> Vec<OverlapConfig> {
+    standard_axis_neighbours(base)
+        .into_iter()
+        .filter(|nb| {
+            nb != base
+                && nb.validate(sm_count).is_ok()
+                && (nb.order != TileOrder::Ring || nb.mode == TransferMode::Push)
+        })
+        .collect()
+}
+
+fn assert_total_bit_identical(bounded: BoundedMakespan, total_s: f64, ctx: &str) {
+    match bounded {
+        BoundedMakespan::Finished(total) => {
+            assert_eq!(total.to_bits(), total_s.to_bits(), "total-only path: {ctx}")
+        }
+        BoundedMakespan::Exceeded(clock) => panic!("infinite cutoff aborted at {clock}: {ctx}"),
+    }
+}
+
 fn assert_reports_bit_identical(a: &OverlapReport, b: &OverlapReport, ctx: &str) {
     assert_eq!(a.total_s.to_bits(), b.total_s.to_bits(), "total_s: {ctx}");
     assert_eq!(
@@ -119,15 +147,7 @@ fn warm_axis_neighbour_compiles_match_cold_compiles_for_both_cost_models() {
     let base = OverlapConfig::default();
 
     let mut checked = 0usize;
-    for nb in standard_axis_neighbours(&base) {
-        if nb == base || nb.validate(sm_count).is_err() {
-            continue;
-        }
-        // Ring schedules forward partials to a neighbour, which is inherently
-        // a push; the standard space prunes ring+pull the same way.
-        if nb.order == TileOrder::Ring && nb.mode != TransferMode::Push {
-            continue;
-        }
+    for nb in searchable_neighbours(&base, sm_count) {
         for site in ["ag", "rs"] {
             for (model, cost) in [("analytic", &analytic), ("calibrated", &calibrated)] {
                 let ctx = format!("{site}/{model}: {base:?} -> {nb:?}");
@@ -139,6 +159,11 @@ fn warm_axis_neighbour_compiles_match_cold_compiles_for_both_cost_models() {
                 let warm = compile_kernel(site, &shape, &cluster, &nb, cost);
                 let warm_graph = task_graph(&warm, &cluster);
                 let warm_report = simulate_report_with(&warm, cost).expect("warm report");
+                assert_total_bit_identical(
+                    simulate_makespan_bounded_with(&warm, cost, f64::INFINITY).expect("warm total"),
+                    warm_report.total_s,
+                    &ctx,
+                );
 
                 // Cold path: the same neighbour compiled from nothing.
                 reset_compile_cache();
@@ -157,4 +182,73 @@ fn warm_axis_neighbour_compiles_match_cold_compiles_for_both_cost_models() {
     // kernels and both cost models. Guard the loop against silently
     // vacuous pruning.
     assert!(checked >= 40, "only {checked} neighbour cases checked");
+}
+
+#[test]
+fn oracle_totals_match_reports_across_axis_neighbours_for_both_cost_models() {
+    let cluster = ClusterSpec::h800_node(8);
+    let sm_count = cluster.gpu.sm_count;
+    let mlp = mlp_shapes()[0].clone();
+    let moe = moe_shapes()[0].clone();
+    let attn = attn_shapes()[0].clone();
+    let spec = RoutingSpec {
+        samples: 2,
+        ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
+    };
+    let mut checked = 0usize;
+    for (model, cost) in [
+        ("analytic", analytic_cost(&cluster)),
+        (
+            "calibrated",
+            std::sync::Arc::new(CalibratedCostModel::h800_defaults(cluster.clone())) as SharedCost,
+        ),
+    ] {
+        let mut oracles: Vec<(String, Box<dyn CostOracle>)> = vec![
+            (
+                "mlp".into(),
+                Box::new(MlpOracle::new(mlp.clone(), cluster.clone()).with_cost(cost.clone())),
+            ),
+            (
+                "moe".into(),
+                Box::new(MoeOracle::new(moe.clone(), cluster.clone()).with_cost(cost.clone())),
+            ),
+            (
+                "attention".into(),
+                Box::new(
+                    AttentionOracle::new(attn.clone(), attn.seq_lens[0], cluster.clone())
+                        .with_cost(cost.clone()),
+                ),
+            ),
+        ];
+        for objective in [
+            Objective::Mean,
+            Objective::Percentile(95),
+            Objective::WorstCase,
+        ] {
+            oracles.push((
+                format!("routed-{}", objective.key()),
+                Box::new(
+                    MoeOracle::new(moe.clone(), cluster.clone())
+                        .with_cost(cost.clone())
+                        .with_routing(spec)
+                        .with_objective(objective),
+                ),
+            ));
+        }
+        // One warm compile cache across the chain, as a search leaves it.
+        reset_compile_cache();
+        for nb in searchable_neighbours(&OverlapConfig::default(), sm_count) {
+            for (name, oracle) in &oracles {
+                if !oracle.is_supported(&nb) {
+                    continue;
+                }
+                let ctx = format!("{name}/{model}: {nb:?}");
+                let total = oracle.evaluate_bounded(&nb, f64::INFINITY).expect(&ctx);
+                let report = oracle.report(&nb).expect(&ctx);
+                assert_total_bit_identical(total, report.total_s, &ctx);
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 100, "only {checked} oracle cases checked");
 }

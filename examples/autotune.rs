@@ -75,10 +75,8 @@ fn main() {
     // What the hand-picked default costs.
     let oracle = MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
     let default_report = oracle
-        .evaluate_bounded(&OverlapConfig::default(), f64::INFINITY)
-        .expect("default config evaluates")
-        .report()
-        .expect("an infinite cutoff is never exceeded");
+        .report(&OverlapConfig::default())
+        .expect("default config evaluates");
     println!("default config: {default_report}");
 
     // Beam search over the standard space (the high-level path).
