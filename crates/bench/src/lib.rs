@@ -724,7 +724,8 @@ impl OraclePhases {
 /// is the steady state the tuner actually runs in: the immediately following
 /// evaluation of the same `(workload, cluster)`, where the compiler patches
 /// the cached lowered programs (pipeline + re-plan only) instead of
-/// rebuilding them.
+/// rebuilding them. Each evaluation runs on a fresh oracle, so warm means a
+/// warm compile cache, not an answer from the oracle's makespan memo.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OracleProfile {
     /// First evaluation, empty compile cache.
@@ -751,8 +752,7 @@ pub fn fig9_oracle_phases(spec: &CostModelSpec) -> OracleProfile {
     use tilelink_workloads::autotune::MoeOracle;
 
     let shape = shapes::moe_shapes()[0].clone();
-    let oracle =
-        MoeOracle::new(shape, default_cluster()).with_cost(cost_for(&default_cluster(), spec));
+    let cost = cost_for(&default_cluster(), spec);
     let was_enabled = tilelink_probe::enabled();
     tilelink_probe::set_enabled(true);
     // Scoped capture: set aside spans recorded before these evaluations so
@@ -761,6 +761,7 @@ pub fn fig9_oracle_phases(spec: &CostModelSpec) -> OracleProfile {
     let mut prior = tilelink_probe::take_spans();
     tilelink::reset_compile_cache();
     let mut measure = || {
+        let oracle = MoeOracle::new(shape.clone(), default_cluster()).with_cost(cost.clone());
         let start = std::time::Instant::now();
         {
             // Marks this thread's spans: the evaluation runs on the calling

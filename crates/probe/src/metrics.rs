@@ -224,6 +224,10 @@ pub static TUNE_CANDIDATES_PRUNED_FLOOR: Counter = Counter::new("tune.candidates
 /// compute-only split the search itself never prices); zero when the
 /// winner's report was already cached.
 pub static TUNE_WINNER_REPORTS: Counter = Counter::new("tune.winner.reports");
+/// Kernel pricings a tuning oracle answered from its own makespan memo (an
+/// `order`/`mode` twin of a kernel it already priced, or the same kernel
+/// again) without compiling or simulating.
+pub static TUNE_KERNEL_MEMO_HITS: Counter = Counter::new("tune.kernel_memo.hits");
 /// Bounded fast-path simulations that aborted early because the simulated
 /// clock provably exceeded the incumbent cutoff.
 pub static SIM_MAKESPAN_BOUNDED_ABORTS: Counter = Counter::new("sim.makespan_bounded_aborts");
@@ -294,6 +298,7 @@ static COUNTERS: &[&Counter] = &[
     &TUNE_CANDIDATES_PRUNED_BOUND,
     &TUNE_CANDIDATES_PRUNED_FLOOR,
     &TUNE_WINNER_REPORTS,
+    &TUNE_KERNEL_MEMO_HITS,
     &SIM_MAKESPAN_BOUNDED_ABORTS,
     &TUNE_COMPILE_PATCHED,
     &TUNE_COMPILE_FULL_REBUILDS,

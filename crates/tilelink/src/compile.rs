@@ -3,18 +3,21 @@
 //! Besides the classic [`Compiler::compile`] entry point, the compiler keeps a
 //! process-wide cache of lowered programs ([`Compiler::compile_cached`]) so
 //! that the thousands of neighbouring candidates a beam search evaluates do
-//! not rebuild and re-lower the same program from scratch. A beam /
-//! coordinate-descent search changes one `OverlapConfig` axis at a time, and
-//! only a few axes actually change the lowered program:
+//! not rebuild and re-lower the same program from scratch. Only three
+//! `OverlapConfig` axes reach the program builders (the table in
+//! [`crate::config`] says which axis reaches which step):
 //!
-//! * `comm_tile`, `compute_tile` and `channels_per_rank` feed the program
-//!   builders and the tile mapping, so changing them forces a full rebuild;
-//! * `num_stages` only drives the (cheap, in-place) pipelining pass, and
-//!   `comm_mapping` only drives resource planning — changing either reuses
-//!   the cached lowered program and just re-runs those final steps.
+//! * `comm_tile.m`, `compute_tile.m` and `channels_per_rank` shape the tile
+//!   program and its mapping, so changing them forces a full rebuild;
+//! * `compute_tile.n` and `comm_mapping` only drive resource planning, and
+//!   `num_stages` only the (cheap, in-place) pipelining pass — changing any
+//!   of them reuses the cached lowered program and just re-runs those final
+//!   steps;
+//! * `order`, `mode` and `comm_tile.n` reach no step at all; a candidate
+//!   differing only in them also takes the patched path.
 //!
 //! The config-delta classification is encoded structurally: the cache key
-//! contains exactly the axes that force a rebuild, so a lookup *is* the
+//! contains exactly the axes the builders read, so a lookup *is* the
 //! classifier. Hits and misses are counted in the `tune.compile.patched` /
 //! `tune.compile.full_rebuilds` probe counters.
 
@@ -23,7 +26,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tilelink_sim::{GpuSpec, SharedCost};
 
-use crate::config::{OverlapConfig, TileOrder, TileShape, TransferMode};
+use crate::config::{OverlapConfig, ProgramAxes};
 use crate::ir::{Symbol, TileProgram};
 use crate::mapping::TileMapping;
 use crate::passes::{
@@ -125,19 +128,16 @@ pub fn detail_hash(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// The cache key: the call site plus exactly the config axes whose change
-/// invalidates the lowered program. `num_stages` and `comm_mapping` are
-/// deliberately absent — candidates differing only in those axes share an
-/// entry and take the patched fast path.
+/// The cache key: the call site plus exactly the config axes the program
+/// builders read ([`ProgramAxes`]). Every other axis is re-applied per
+/// candidate on a hit (planning and pipelining) or reaches no compile step,
+/// so candidates differing only there share an entry and take the patched
+/// fast path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     site: &'static str,
     detail: u64,
-    comm_tile: TileShape,
-    compute_tile: TileShape,
-    order: TileOrder,
-    mode: TransferMode,
-    channels_per_rank: usize,
+    axes: ProgramAxes,
 }
 
 impl CacheKey {
@@ -145,11 +145,7 @@ impl CacheKey {
         Self {
             site: site.site,
             detail: site.detail,
-            comm_tile: config.comm_tile,
-            compute_tile: config.compute_tile,
-            order: config.order,
-            mode: config.mode,
-            channels_per_rank: config.channels_per_rank,
+            axes: config.program_axes(),
         }
     }
 }
@@ -296,11 +292,13 @@ impl Compiler {
     /// Compiles through the process-wide incremental cache.
     ///
     /// `build` constructs the program and its mapping; it only runs on a cache
-    /// miss (a *full rebuild*). On a hit (a *patched* compile) the cached
-    /// lowered program is copied (a flat memcpy — ops are `Copy`), pipelined
-    /// in place for this config's `num_stages`, and re-planned for this
-    /// config's `comm_mapping`: the only two axes the key omits. The result is
-    /// bit-identical to a cold [`Self::compile`] of the same inputs.
+    /// miss (a *full rebuild*). It must read no config axis outside the key
+    /// (`comm_tile.m`, `compute_tile.m`, `channels_per_rank`). On a hit (a
+    /// *patched* compile) the cached lowered program is copied (a flat
+    /// memcpy — ops are `Copy`), pipelined in place for this config's
+    /// `num_stages`, and re-planned for this config's `compute_tile.n` and
+    /// `comm_mapping`. The result is bit-identical to a cold
+    /// [`Self::compile`] of the same inputs.
     ///
     /// # Errors
     ///
@@ -497,7 +495,7 @@ mod tests {
         reset_compile_cache();
         let make = || Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)));
         // Cold compile through the cache (miss), then patched neighbours that
-        // differ only in num_stages / comm_mapping (hits).
+        // differ only in axes outside the key (hits).
         let base = OverlapConfig::default();
         let neighbours = [
             base,
@@ -511,6 +509,10 @@ mod tests {
             },
             base.with_comm_mapping(CommMapping::CopyEngine),
             base.with_comm_mapping(CommMapping::Hybrid { sms: 16 }),
+            base.with_compute_tile(crate::config::TileShape::new(128, 128)),
+            base.with_comm_tile(crate::config::TileShape::new(128, 64)),
+            base.with_order(crate::config::TileOrder::Ring)
+                .with_mode(crate::config::TransferMode::Push),
         ];
         for (i, cfg) in neighbours.iter().enumerate() {
             let compiler = Compiler::new(*cfg, GpuSpec::h800());

@@ -4,6 +4,24 @@
 //! of a fused kernel along three axes — tile size, tile order and resource
 //! mapping — and lets each side choose independently. [`OverlapConfig`]
 //! captures exactly those choices.
+//!
+//! Not every axis reaches a compiled kernel. This module is the one place
+//! that says which ones do:
+//!
+//! | axis | read by |
+//! | --- | --- |
+//! | `comm_tile.m`, `compute_tile.m`, `channels_per_rank` | the tile-program builders (`ProgramAxes`) |
+//! | `compute_tile.n`, `comm_mapping` | resource planning |
+//! | `num_stages` | software pipelining |
+//! | `comm_tile.n` | nothing yet (no builder tiles the comm side along N) |
+//! | `order`, `mode` | nothing: no builder models them, so they only reach the kernel's `config` field |
+//!
+//! Two consequences are encoded here and used elsewhere. The compiler's
+//! program cache keys on `ProgramAxes`: a candidate that differs from a
+//! cached one only outside them re-runs planning and pipelining on the cached
+//! lowered program. And configs with equal [`OverlapConfig::priced_projection`]s
+//! (`order`/`mode` twins) compile to kernels with identical task graphs, so
+//! a tuner may price such a twin once.
 
 use crate::{Result, TileLinkError};
 
@@ -127,7 +145,46 @@ impl Default for OverlapConfig {
     }
 }
 
+/// The config axes the tile-program builders read: everything else a
+/// builder's program and tile mapping depend on comes from the workload
+/// shape, not from the [`OverlapConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ProgramAxes {
+    comm_rows: usize,
+    compute_rows: usize,
+    channels_per_rank: usize,
+}
+
 impl OverlapConfig {
+    /// The axes a tile-program builder reads (see the module docs).
+    pub(crate) fn program_axes(&self) -> ProgramAxes {
+        ProgramAxes {
+            comm_rows: self.comm_tile.m,
+            compute_rows: self.compute_tile.m,
+            channels_per_rank: self.channels_per_rank,
+        }
+    }
+
+    /// This config with `order` and `mode` reset to their defaults: the part
+    /// of the config that reaches a compiled kernel's task graph. Two configs
+    /// with the same projection (`order`/`mode` twins) simulate identically.
+    ///
+    /// ```
+    /// use tilelink::{OverlapConfig, TileOrder, TransferMode};
+    /// let twin = OverlapConfig::default()
+    ///     .with_order(TileOrder::Ring)
+    ///     .with_mode(TransferMode::Push);
+    /// assert_eq!(twin.priced_projection(), OverlapConfig::default());
+    /// ```
+    #[must_use]
+    pub fn priced_projection(&self) -> Self {
+        Self {
+            order: TileOrder::default(),
+            mode: TransferMode::default(),
+            ..*self
+        }
+    }
+
     /// Validates the configuration against a device with `sm_count` SMs.
     ///
     /// # Errors
@@ -296,6 +353,31 @@ mod tests {
         let keys: std::collections::HashSet<String> =
             variants.iter().map(OverlapConfig::cache_key).collect();
         assert_eq!(keys.len(), variants.len());
+    }
+
+    #[test]
+    fn priced_projection_resets_only_order_and_mode() {
+        let cfg = OverlapConfig {
+            comm_tile: TileShape::new(64, 64),
+            compute_tile: TileShape::new(64, 128),
+            order: TileOrder::Ring,
+            mode: TransferMode::Push,
+            comm_mapping: CommMapping::CopyEngine,
+            channels_per_rank: 2,
+            num_stages: 4,
+        };
+        let projected = cfg.priced_projection();
+        assert_eq!(
+            projected,
+            cfg.with_order(TileOrder::AllToAll)
+                .with_mode(TransferMode::Pull)
+        );
+        assert_eq!(projected.priced_projection(), projected);
+        assert_eq!(cfg.program_axes(), projected.program_axes());
+        assert_ne!(
+            cfg.program_axes(),
+            cfg.with_comm_tile(TileShape::new(128, 64)).program_axes()
+        );
     }
 
     #[test]

@@ -12,16 +12,16 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use tilelink::exec::simulate_makespan_bounded_with;
-use tilelink::{CompiledKernel, OverlapConfig, OverlapReport};
+use tilelink::{OverlapConfig, OverlapReport};
 use tilelink_sim::{analytic_cost, BoundedMakespan, ClusterSpec, SharedCost};
 use tilelink_tune::{
     CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache, TuneReport, Tuner,
 };
 
 use crate::bounds;
+use crate::kernel_memo::{Half, KernelMemo};
 
 use crate::moe::{RoutingProfile, RoutingSample, RoutingSampler};
 use crate::{attention, mlp, moe, AttnShape, MlpShape, MoeShape};
@@ -80,7 +80,8 @@ impl fmt::Display for RoutingSpec {
 // ---------------------------------------------------------------------------
 
 /// Prices the total of a two-half layer — `first`, the activation (`act`
-/// seconds), then `second` — against `cutoff`.
+/// seconds), then `second` — against `cutoff`. Each half is a bounded
+/// makespan of its kernel as a function of the budget it gets.
 ///
 /// The cutoff is threaded through both halves as a *residual budget*: the
 /// first half aborts once its makespan plus `act` and `second_lb` (an
@@ -92,14 +93,13 @@ impl fmt::Display for RoutingSpec {
 /// cutoff the total is bit-identical to the `total_s` of the two halves'
 /// reports composed (first + second + activation).
 fn price_two_halves(
-    cost: &SharedCost,
-    first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
-    second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
+    first: impl FnOnce(f64) -> tilelink::Result<BoundedMakespan>,
+    second: impl FnOnce(f64) -> tilelink::Result<BoundedMakespan>,
     act: f64,
     second_lb: f64,
     cutoff: f64,
 ) -> tilelink::Result<BoundedMakespan> {
-    let first = match simulate_makespan_bounded_with(&first()?, cost, cutoff - act - second_lb)? {
+    let first = match first(cutoff - act - second_lb)? {
         BoundedMakespan::Finished(total) => total,
         BoundedMakespan::Exceeded(clock) => {
             return Ok(BoundedMakespan::Exceeded(clock + second_lb + act))
@@ -108,21 +108,25 @@ fn price_two_halves(
     if first + second_lb + act > cutoff {
         return Ok(BoundedMakespan::Exceeded(first + second_lb + act));
     }
-    Ok(
-        match simulate_makespan_bounded_with(&second()?, cost, cutoff - act - first)? {
-            BoundedMakespan::Finished(second) => BoundedMakespan::Finished(first + second + act),
-            BoundedMakespan::Exceeded(clock) => BoundedMakespan::Exceeded(first + clock + act),
-        },
-    )
+    Ok(match second(cutoff - act - first)? {
+        BoundedMakespan::Finished(second) => BoundedMakespan::Finished(first + second + act),
+        BoundedMakespan::Exceeded(clock) => BoundedMakespan::Exceeded(first + clock + act),
+    })
 }
 
 /// Prices one config for the full tensor-parallel MLP layer (both halves plus
 /// the activation, mirroring [`mlp::timed_full_mlp_with`] but with the
 /// candidate config applied to both halves).
+///
+/// Like every oracle here it memoises the bounded makespan of each distinct
+/// kernel it prices, so an `order`/`mode` twin of a priced config (or the
+/// same config again) is answered without compiling or simulating; a clone
+/// starts with an empty memo.
 #[derive(Debug, Clone)]
 pub struct MlpOracle {
     shape: MlpShape,
     cost: SharedCost,
+    memo: KernelMemo,
 }
 
 impl MlpOracle {
@@ -131,6 +135,7 @@ impl MlpOracle {
         Self {
             shape,
             cost: analytic_cost(&cluster),
+            memo: KernelMemo::default(),
         }
     }
 
@@ -138,6 +143,7 @@ impl MlpOracle {
     /// evaluates against.
     pub fn with_cost(mut self, cost: SharedCost) -> Self {
         self.cost = cost;
+        self.memo = KernelMemo::default();
         self
     }
 }
@@ -171,10 +177,20 @@ impl CostOracle for MlpOracle {
         cfg: &OverlapConfig,
         cutoff: f64,
     ) -> tilelink::Result<BoundedMakespan> {
+        let (shape, cost) = (&self.shape, &self.cost);
         price_two_halves(
-            &self.cost,
-            || mlp::compile_ag_gemm(&self.shape, cfg, &self.cost),
-            || mlp::compile_gemm_rs(&self.shape, cfg, &self.cost),
+            |budget| {
+                self.memo
+                    .makespan_bounded(Half::First, 0, cfg, cost, budget, || {
+                        mlp::compile_ag_gemm(shape, cfg, cost)
+                    })
+            },
+            |budget| {
+                self.memo
+                    .makespan_bounded(Half::Second, 0, cfg, cost, budget, || {
+                        mlp::compile_gemm_rs(shape, cfg, cost)
+                    })
+            },
             mlp::activation_seconds_with(&self.shape, &*self.cost),
             bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost),
             cutoff,
@@ -202,6 +218,7 @@ impl CostOracle for MlpOracle {
 pub struct MlpAgGemmOracle {
     shape: MlpShape,
     cost: SharedCost,
+    memo: KernelMemo,
 }
 
 impl MlpAgGemmOracle {
@@ -210,6 +227,7 @@ impl MlpAgGemmOracle {
         Self {
             shape,
             cost: analytic_cost(&cluster),
+            memo: KernelMemo::default(),
         }
     }
 
@@ -217,6 +235,7 @@ impl MlpAgGemmOracle {
     /// evaluates against.
     pub fn with_cost(mut self, cost: SharedCost) -> Self {
         self.cost = cost;
+        self.memo = KernelMemo::default();
         self
     }
 }
@@ -246,8 +265,10 @@ impl CostOracle for MlpAgGemmOracle {
         cfg: &OverlapConfig,
         cutoff: f64,
     ) -> tilelink::Result<BoundedMakespan> {
-        let kernel = mlp::compile_ag_gemm(&self.shape, cfg, &self.cost)?;
-        simulate_makespan_bounded_with(&kernel, &self.cost, cutoff)
+        self.memo
+            .makespan_bounded(Half::First, 0, cfg, &self.cost, cutoff, || {
+                mlp::compile_ag_gemm(&self.shape, cfg, &self.cost)
+            })
     }
 
     fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
@@ -271,12 +292,18 @@ impl CostOracle for MlpAgGemmOracle {
 /// ([`moe::timed_routed_full_moe_with`]) and folds the per-sample reports
 /// with its [`Objective`] — tuning for the tail of the routing distribution
 /// rather than the mean.
+///
+/// The routing samples are drawn once, by the first evaluation or report
+/// that needs them (not by [`MoeOracle::with_routing`], so an oracle built
+/// only for its cache key never draws them).
 #[derive(Debug, Clone)]
 pub struct MoeOracle {
     shape: MoeShape,
     cost: SharedCost,
     routing: Option<RoutingSpec>,
     objective: Objective,
+    samples: OnceLock<Vec<RoutingSample>>,
+    memo: KernelMemo,
 }
 
 impl MoeOracle {
@@ -288,6 +315,8 @@ impl MoeOracle {
             cost: analytic_cost(&cluster),
             routing: None,
             objective: Objective::Mean,
+            samples: OnceLock::new(),
+            memo: KernelMemo::default(),
         }
     }
 
@@ -295,6 +324,7 @@ impl MoeOracle {
     /// evaluates against.
     pub fn with_cost(mut self, cost: SharedCost) -> Self {
         self.cost = cost;
+        self.memo = KernelMemo::default();
         self
     }
 
@@ -302,7 +332,15 @@ impl MoeOracle {
     /// expected uniform routing.
     pub fn with_routing(mut self, spec: RoutingSpec) -> Self {
         self.routing = Some(spec);
+        self.samples = OnceLock::new();
+        self.memo = KernelMemo::default();
         self
+    }
+
+    /// The routings `spec` prices, drawn on first use.
+    fn samples(&self, spec: &RoutingSpec) -> &[RoutingSample] {
+        self.samples
+            .get_or_init(|| spec.sampler().samples_for(&self.shape, spec.samples.max(1)))
     }
 
     /// Replaces the statistic folding the per-sample reports (only meaningful
@@ -361,30 +399,45 @@ impl CostOracle for MoeOracle {
     ) -> tilelink::Result<BoundedMakespan> {
         let act = moe::activation_seconds_with(&self.shape, &*self.cost);
         let second_lb = bounds::moe_second_bound(&self.shape, cfg, &*self.cost);
+        let (shape, cost, memo) = (&self.shape, &self.cost, &self.memo);
         let Some(spec) = &self.routing else {
             return price_two_halves(
-                &self.cost,
-                || moe::compile_ag_group_gemm(&self.shape, cfg, &self.cost),
-                || moe::compile_group_gemm_rs(&self.shape, cfg, &self.cost),
+                |budget| {
+                    memo.makespan_bounded(Half::First, 0, cfg, cost, budget, || {
+                        moe::compile_ag_group_gemm(shape, cfg, cost)
+                    })
+                },
+                |budget| {
+                    memo.makespan_bounded(Half::Second, 0, cfg, cost, budget, || {
+                        moe::compile_group_gemm_rs(shape, cfg, cost)
+                    })
+                },
                 act,
                 second_lb,
                 cutoff,
             );
         };
-        // One sampled routing's layer total, priced against `budget`.
-        let price_sample = |sample: &RoutingSample, budget: f64| {
+        // Sampled routing `i`'s layer total, priced against `budget`.
+        let price_sample = |i: usize, sample: &RoutingSample, budget: f64| {
             price_two_halves(
-                &self.cost,
-                || moe::compile_routed_ag_group_gemm(&self.shape, cfg, &self.cost, sample),
-                || moe::compile_routed_group_gemm_rs(&self.shape, cfg, &self.cost, sample),
+                |budget| {
+                    memo.makespan_bounded(Half::First, i, cfg, cost, budget, || {
+                        moe::compile_routed_ag_group_gemm(shape, cfg, cost, sample)
+                    })
+                },
+                |budget| {
+                    memo.makespan_bounded(Half::Second, i, cfg, cost, budget, || {
+                        moe::compile_routed_group_gemm_rs(shape, cfg, cost, sample)
+                    })
+                },
                 act,
                 second_lb,
                 budget,
             )
         };
 
-        let n = spec.samples.max(1);
-        let samples = spec.sampler().samples_for(&self.shape, n);
+        let samples = self.samples(spec);
+        let n = samples.len();
         let mut totals = Vec::with_capacity(n);
         match self.objective {
             Objective::Mean => {
@@ -399,7 +452,7 @@ impl CostOracle for MoeOracle {
                 for (i, sample) in samples.iter().enumerate() {
                     let remaining_lb = (n - 1 - i) as f64 * lb_sample;
                     let budget = n as f64 * cutoff - sum - remaining_lb;
-                    match price_sample(sample, budget)? {
+                    match price_sample(i, sample, budget)? {
                         BoundedMakespan::Finished(total) => {
                             sum += total;
                             totals.push(total);
@@ -432,8 +485,8 @@ impl CostOracle for MoeOracle {
                 let allowed_aborts = n - 1 - pick;
                 let mut aborts = 0usize;
                 let mut aborted_floor = f64::INFINITY;
-                for sample in &samples {
-                    match price_sample(sample, cutoff)? {
+                for (i, sample) in samples.iter().enumerate() {
+                    match price_sample(i, sample, cutoff)? {
                         BoundedMakespan::Finished(total) => totals.push(total),
                         BoundedMakespan::Exceeded(clock) => {
                             aborts += 1;
@@ -459,9 +512,8 @@ impl CostOracle for MoeOracle {
                 act,
             ));
         };
-        let reports = spec
-            .sampler()
-            .samples_for(&self.shape, spec.samples.max(1))
+        let reports = self
+            .samples(spec)
             .iter()
             .map(|sample| moe::timed_routed_full_moe_with(&self.shape, cfg, &self.cost, sample))
             .collect::<tilelink::Result<Vec<_>>>()?;
@@ -481,6 +533,7 @@ pub struct AttentionOracle {
     shape: AttnShape,
     seq_len: usize,
     cost: SharedCost,
+    memo: KernelMemo,
 }
 
 impl AttentionOracle {
@@ -491,6 +544,7 @@ impl AttentionOracle {
             shape,
             seq_len,
             cost: analytic_cost(&cluster),
+            memo: KernelMemo::default(),
         }
     }
 
@@ -498,6 +552,7 @@ impl AttentionOracle {
     /// evaluates against.
     pub fn with_cost(mut self, cost: SharedCost) -> Self {
         self.cost = cost;
+        self.memo = KernelMemo::default();
         self
     }
 }
@@ -523,8 +578,10 @@ impl CostOracle for AttentionOracle {
         cfg: &OverlapConfig,
         cutoff: f64,
     ) -> tilelink::Result<BoundedMakespan> {
-        let kernel = attention::compile_sp_attention(&self.shape, self.seq_len, cfg, &self.cost)?;
-        simulate_makespan_bounded_with(&kernel, &self.cost, cutoff)
+        self.memo
+            .makespan_bounded(Half::First, 0, cfg, &self.cost, cutoff, || {
+                attention::compile_sp_attention(&self.shape, self.seq_len, cfg, &self.cost)
+            })
     }
 
     fn report(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {

@@ -28,6 +28,7 @@ pub mod autotune;
 pub mod baselines;
 mod bounds;
 pub mod e2e;
+mod kernel_memo;
 pub mod mlp;
 pub mod moe;
 pub mod shapes;

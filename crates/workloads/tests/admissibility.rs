@@ -24,6 +24,11 @@
 //!   simulation, and floors cached under a tight cutoff never change the
 //!   winner of a looser search that reads them.
 //!
+//! * the oracles' kernel makespan memo: re-pricing a config replays its bits
+//!   without simulating, an `order`/`mode` twin gets the decision a fresh
+//!   oracle makes at every cutoff, and a cold routed tune simulates the same
+//!   kernels, and writes the same cache file, on one thread as on two.
+//!
 //! Every test holds [`serial`], so the process-wide simulation counter a
 //! warm re-tune is checked against only moves for that re-tune.
 
@@ -31,13 +36,13 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use tilelink::{CommMapping, OverlapConfig, OverlapReport, TileShape};
-use tilelink_probe::metrics::{SIM_MAKESPAN_RUNS, TUNE_WINNER_REPORTS};
+use tilelink::{CommMapping, OverlapConfig, OverlapReport, TileOrder, TileShape, TransferMode};
+use tilelink_probe::metrics::{SIM_MAKESPAN_RUNS, TUNE_KERNEL_MEMO_HITS, TUNE_WINNER_REPORTS};
 use tilelink_sim::{analytic_cost, BoundedMakespan, CalibratedCostModel, ClusterSpec, SharedCost};
 use tilelink_tune::{
     CostOracle, Objective, SearchSpace, Strategy, TuneCache, TuneReport, Tuner, RING_REQUIRES_PUSH,
 };
-use tilelink_workloads::autotune::{AttentionOracle, MlpOracle, MoeOracle};
+use tilelink_workloads::autotune::{AttentionOracle, MlpAgGemmOracle, MlpOracle, MoeOracle};
 use tilelink_workloads::{attention, mlp, moe, MlpShape, MoeShape, RoutingProfile, RoutingSpec};
 
 /// Serialises the tests of this file (see the module docs).
@@ -477,12 +482,16 @@ fn p95_over_eight_samples_stops_pricing_at_its_first_abort() {
     let spec = RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 });
     assert_eq!(spec.samples, 8);
     let cfg = OverlapConfig::default();
-    let oracle = MoeOracle::new(shape.clone(), cluster)
-        .with_routing(spec)
-        .with_objective(Objective::Percentile(95));
+    // Each measured evaluation gets a fresh oracle: an oracle re-pricing a
+    // config answers from its makespan memo without simulating.
+    let fresh_oracle = || {
+        MoeOracle::new(shape.clone(), cluster.clone())
+            .with_routing(spec)
+            .with_objective(Objective::Percentile(95))
+    };
     // Nearest-rank p95 of 8 samples is the largest: no abort is allowed.
     assert_eq!(Objective::Percentile(95).sorted_pick_index(8), Some(7));
-    let exact = oracle.report(&cfg).expect("report").total_s;
+    let exact = fresh_oracle().report(&cfg).expect("report").total_s;
     let totals = sample_totals(&shape, &cost, spec, &cfg);
     let mut sorted = totals.clone();
     sorted.sort_by(f64::total_cmp);
@@ -493,6 +502,7 @@ fn p95_over_eight_samples_stops_pricing_at_its_first_abort() {
         // The first sample (in pricing order) whose total exceeds the cutoff
         // decides the fold; every sample before it finishes both halves.
         let first_abort = totals.iter().position(|&t| t > cutoff);
+        let oracle = fresh_oracle();
         let runs = SIM_MAKESPAN_RUNS.get();
         let outcome = oracle.evaluate_bounded(&cfg, cutoff).expect("bounded eval");
         let used = SIM_MAKESPAN_RUNS.get() - runs;
@@ -821,4 +831,198 @@ fn floors_from_a_narrow_beam_never_change_a_wider_search_winner() {
         }
     }
     assert!(floor_pruned > 0, "no reader ever used a narrow-beam floor");
+}
+
+/// The bits of a bounded outcome, tagged by kind.
+fn outcome_bits(outcome: BoundedMakespan) -> (bool, u64) {
+    match outcome {
+        BoundedMakespan::Finished(total) => (true, total.to_bits()),
+        BoundedMakespan::Exceeded(floor) => (false, floor.to_bits()),
+    }
+}
+
+/// Builds an oracle with an empty makespan memo.
+type OracleFactory<'a> = Box<dyn Fn() -> Box<dyn CostOracle> + 'a>;
+
+#[test]
+fn repricing_a_config_on_one_oracle_replays_its_bits_without_simulating() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let mlp = tilelink_workloads::shapes::mlp_shapes()[0].clone();
+    let moe = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let attn = tilelink_workloads::shapes::attn_shapes()[0].clone();
+    let seq_len = attn.seq_lens[0];
+    let spec = RoutingSpec {
+        samples: 3,
+        ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
+    };
+    let cfg = OverlapConfig::default();
+    let mut checked = 0;
+    for (cost_name, cost) in providers(&cluster) {
+        let mut fresh: Vec<(String, OracleFactory<'_>)> = vec![
+            (
+                "mlp".into(),
+                Box::new(|| {
+                    Box::new(MlpOracle::new(mlp.clone(), cluster.clone()).with_cost(cost.clone()))
+                }),
+            ),
+            (
+                "mlp_ag_gemm".into(),
+                Box::new(|| {
+                    Box::new(
+                        MlpAgGemmOracle::new(mlp.clone(), cluster.clone()).with_cost(cost.clone()),
+                    )
+                }),
+            ),
+            (
+                "moe".into(),
+                Box::new(|| {
+                    Box::new(MoeOracle::new(moe.clone(), cluster.clone()).with_cost(cost.clone()))
+                }),
+            ),
+            (
+                "attention".into(),
+                Box::new(|| {
+                    Box::new(
+                        AttentionOracle::new(attn.clone(), seq_len, cluster.clone())
+                            .with_cost(cost.clone()),
+                    )
+                }),
+            ),
+        ];
+        for objective in [
+            Objective::Mean,
+            Objective::Percentile(95),
+            Objective::WorstCase,
+        ] {
+            let (moe, cluster, cost) = (&moe, &cluster, &cost);
+            fresh.push((
+                format!("routed-{}", objective.key()),
+                Box::new(move || {
+                    Box::new(
+                        MoeOracle::new(moe.clone(), cluster.clone())
+                            .with_cost(cost.clone())
+                            .with_routing(spec)
+                            .with_objective(objective),
+                    )
+                }),
+            ));
+        }
+        for (name, make) in &fresh {
+            let exact = make().report(&cfg).expect("report").total_s;
+            // Finishing, tight and far-off cutoffs: each re-pricing replays
+            // exact makespans and floors alike.
+            for cutoff in [f64::INFINITY, 1.01 * exact, 0.9 * exact, 0.5 * exact] {
+                let ctx = format!("{name}/{cost_name} at {cutoff}");
+                let oracle = make();
+                let first = oracle.evaluate_bounded(&cfg, cutoff).expect(&ctx);
+                let (runs, hits) = (SIM_MAKESPAN_RUNS.get(), TUNE_KERNEL_MEMO_HITS.get());
+                let again = oracle.evaluate_bounded(&cfg, cutoff).expect(&ctx);
+                assert_eq!(outcome_bits(again), outcome_bits(first), "{ctx}");
+                assert_eq!(SIM_MAKESPAN_RUNS.get(), runs, "{ctx}: re-pricing simulated");
+                assert!(TUNE_KERNEL_MEMO_HITS.get() > hits, "{ctx}: no memo hit");
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 2 * 7 * 4);
+}
+
+#[test]
+fn twins_get_the_decision_a_fresh_oracle_makes_at_every_cutoff() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let cost = analytic_cost(&cluster);
+    let spec = RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 });
+    let base = OverlapConfig::default();
+    let configs = [
+        base,
+        base.with_mode(TransferMode::Push),
+        base.with_order(TileOrder::Ring)
+            .with_mode(TransferMode::Push),
+        base.with_order(TileOrder::Ring),
+    ];
+    let mut sorted = sample_totals(&shape, &cost, spec, &base);
+    sorted.sort_by(f64::total_cmp);
+    let mut cutoffs = cutoffs_between(&sorted);
+    for objective in [Objective::Percentile(95), Objective::Mean] {
+        let fresh = || {
+            MoeOracle::new(shape.clone(), cluster.clone())
+                .with_routing(spec)
+                .with_objective(objective)
+        };
+        let exact = fresh().report(&base).expect("report").total_s;
+        // One oracle prices the configs in turn at rising, then falling,
+        // cutoffs, so its memo holds floors certified under other budgets
+        // as well as exact makespans when a twin comes up.
+        let shared = fresh();
+        let (mut finished, mut aborted) = (0, 0);
+        for pass in 0..2 {
+            for (k, &cutoff) in cutoffs.iter().enumerate() {
+                let cfg = configs[(k + pass) % configs.len()];
+                let ctx = format!("{} {cfg:?} at {cutoff}", objective.key());
+                let got = shared.evaluate_bounded(&cfg, cutoff).expect(&ctx);
+                let want = fresh().evaluate_bounded(&cfg, cutoff).expect(&ctx);
+                match (got, want) {
+                    (BoundedMakespan::Finished(g), BoundedMakespan::Finished(w)) => {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}");
+                        finished += 1;
+                    }
+                    (BoundedMakespan::Exceeded(floor), BoundedMakespan::Exceeded(_)) => {
+                        assert!(
+                            cutoff < floor && floor <= exact,
+                            "{ctx}: floor {floor} outside ({cutoff}, {exact}]"
+                        );
+                        aborted += 1;
+                    }
+                    _ => panic!("{ctx}: memo decided {got:?}, a fresh oracle {want:?}"),
+                }
+            }
+            cutoffs.reverse();
+        }
+        assert!(
+            finished >= 2 && aborted >= 2,
+            "{finished} finished, {aborted} aborted"
+        );
+    }
+}
+
+#[test]
+fn a_cold_routed_tune_simulates_the_same_on_one_and_two_threads() {
+    let _serial = serial();
+    let cluster = ClusterSpec::h800_node(8);
+    let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let spec = RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 });
+    let mut runs = Vec::new();
+    for threads in [1, 2] {
+        let path = cache_file(&format!("routed-threads-{threads}"));
+        let oracle = MoeOracle::new(shape.clone(), cluster.clone())
+            .with_routing(spec)
+            .with_objective(Objective::Percentile(95));
+        let sims = SIM_MAKESPAN_RUNS.get();
+        Tuner::new(Strategy::default())
+            .with_threads(threads)
+            .with_cache(TuneCache::open(&path).expect("cache opens"))
+            .tune(&oracle, &SearchSpace::standard())
+            .expect("search succeeds");
+        let sims = SIM_MAKESPAN_RUNS.get() - sims;
+        let mut lines: Vec<String> = std::fs::read_to_string(&path)
+            .expect("cache file written")
+            .lines()
+            .map(str::to_string)
+            .collect();
+        lines.sort();
+        let _ = std::fs::remove_file(&path);
+        runs.push((sims, lines));
+    }
+    assert_eq!(
+        runs[0].0, runs[1].0,
+        "simulations differ between 1 and 2 threads"
+    );
+    assert!(
+        runs[0].1 == runs[1].1,
+        "cache files differ between 1 and 2 threads"
+    );
+    assert!(runs[0].1.len() > 10, "only {} cache lines", runs[0].1.len());
 }
